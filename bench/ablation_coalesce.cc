@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     // Unit-by-unit.
     graph::DynamicDiGraph g1 = base;
     la::DynamicRowMatrix q1 = graph::BuildTransition(g1);
-    la::DenseMatrix s1 = s_base;
+    la::ScoreStore s1{la::DenseMatrix(s_base)};
     core::IncSrEngine unit(options);
     WallTimer t1;
     for (const auto& u : batch) {
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     // Coalesced.
     graph::DynamicDiGraph g2 = base;
     la::DynamicRowMatrix q2 = graph::BuildTransition(g2);
-    la::DenseMatrix s2 = s_base;
+    la::ScoreStore s2{la::DenseMatrix(s_base)};
     core::CoalescedBatchEngine coalesced(options);
     WallTimer t2;
     INCSR_CHECK(coalesced.ApplyBatch(batch, &g2, &q2, &s2).ok(), "coalesced");

@@ -16,6 +16,10 @@
 //   - Batch recomputes from scratch on snapshot k (K = 15; K = 5 on
 //     YOUTU, the paper's settings, C = 0.6).
 //
+// Each dataset's times are summed over its transitions; the closing
+// verdict (which method is fastest, and the Inc-SR/Batch ratio) is
+// computed from those sums, not assumed from the paper.
+//
 // Usage: fig2a_time_real [scale_multiplier] [update_cap]
 //        fig2a_time_real --edges FILE [--temporal] [--snapshots N]
 //                        [--iterations K] [--cap CAP]
@@ -28,6 +32,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "incsr/incsr.h"
@@ -44,9 +49,31 @@ struct DatasetConfig {
   std::size_t cap;  // timed unit updates per transition (extrapolated)
 };
 
-void RunSeries(const graph::SnapshotSeries& series, const std::string& title,
-               int iterations, bool svd_as_published, double scale,
-               std::size_t cap) {
+// The Inc-SVD column: seconds, or "mem-crash" when it did not fit.
+std::string SvdCell(bool crashed, double seconds) {
+  char cell[32];
+  if (crashed) {
+    std::snprintf(cell, sizeof(cell), "%10s", "mem-crash");
+  } else {
+    std::snprintf(cell, sizeof(cell), "%10.3f", seconds);
+  }
+  return cell;
+}
+
+// Seconds summed over one dataset's transitions.
+struct SeriesTotals {
+  std::string name;
+  double inc_sr = 0.0;
+  double inc_usr = 0.0;
+  double svd = 0.0;
+  bool svd_crashed = false;
+  double batch = 0.0;
+};
+
+SeriesTotals RunSeries(const graph::SnapshotSeries& series,
+                       const std::string& name, const std::string& title,
+                       int iterations, bool svd_as_published, double scale,
+                       std::size_t cap) {
   simrank::SimRankOptions options;
   options.damping = 0.6;
   options.iterations = iterations;
@@ -58,6 +85,8 @@ void RunSeries(const graph::SnapshotSeries& series, const std::string& title,
       "|E|+|dE|    Inc-SR(s)   Inc-uSR(s)  Inc-SVD(s)  Batch(s)   "
       "[timed updates/total]");
 
+  SeriesTotals totals;
+  totals.name = name;
   for (std::size_t snap = 1; snap < series.num_snapshots(); ++snap) {
     graph::DynamicDiGraph g_prev = series.GraphAt(snap - 1);
     auto delta = series.DeltaBetween(snap - 1, snap);
@@ -121,21 +150,63 @@ void RunSeries(const graph::SnapshotSeries& series, const std::string& title,
     double batch_seconds = batch_timer.ElapsedSeconds();
     (void)s_batch;
 
-    char svd_cell[32];
+    totals.inc_sr += t_sr.ExtrapolatedSeconds();
+    totals.inc_usr += t_usr.ExtrapolatedSeconds();
+    totals.batch += batch_seconds;
     if (svd_seconds < 0) {
-      std::snprintf(svd_cell, sizeof(svd_cell), "%10s", "mem-crash");
+      totals.svd_crashed = true;
     } else {
-      std::snprintf(svd_cell, sizeof(svd_cell), "%10.3f", svd_seconds);
+      totals.svd += svd_seconds;
     }
+
     std::printf("%8zu   %9.3f   %9.3f  %s  %8.3f   [%zu/%zu]\n",
                 series.EdgesAt(snap), t_sr.ExtrapolatedSeconds(),
-                t_usr.ExtrapolatedSeconds(), svd_cell, batch_seconds,
+                t_usr.ExtrapolatedSeconds(),
+                SvdCell(svd_seconds < 0, svd_seconds).c_str(), batch_seconds,
                 t_sr.applied, t_sr.total);
   }
+  return totals;
 }
 
-void RunDataset(const DatasetConfig& config, double scale_mult,
-                std::size_t cap_override) {
+// Prints the measured verdict: per dataset the fastest method by summed
+// time (Inc-SVD only when it did not crash) and the Inc-SR/Batch ratio.
+void PrintVerdict(const std::vector<SeriesTotals>& all) {
+  bench::PrintHeader("Fig. 2a — measured verdict (seconds summed over "
+                     "transitions)");
+  std::puts("dataset     Inc-SR(s)   Inc-uSR(s)  Inc-SVD(s)  Batch(s)   "
+            "Inc-SR/Batch  fastest");
+  std::size_t sr_fastest = 0;
+  std::size_t sr_beats_batch = 0;
+  for (const SeriesTotals& t : all) {
+    std::string fastest = "Inc-SR";
+    double best = t.inc_sr;
+    if (t.inc_usr < best) {
+      best = t.inc_usr;
+      fastest = "Inc-uSR";
+    }
+    if (!t.svd_crashed && t.svd < best) {
+      best = t.svd;
+      fastest = "Inc-SVD";
+    }
+    if (t.batch < best) fastest = "Batch";
+    const double ratio = t.batch > 0.0 ? t.inc_sr / t.batch : 0.0;
+    if (fastest == "Inc-SR") ++sr_fastest;
+    if (t.inc_sr < t.batch) ++sr_beats_batch;
+    std::printf("%-10s  %9.3f   %9.3f  %s  %8.3f   %12.2f  %s\n",
+                t.name.c_str(), t.inc_sr, t.inc_usr,
+                SvdCell(t.svd_crashed, t.svd).c_str(), t.batch, ratio,
+                fastest.c_str());
+  }
+  std::printf(
+      "\nInc-SR is fastest on %zu of %zu datasets and beats Batch on %zu of "
+      "%zu\n(Inc-SR/Batch < 1). The paper's Fig. 2a reports Inc-SR fastest "
+      "everywhere;\nabsolute values differ from the paper (scaled stand-ins, "
+      "different hardware).\n",
+      sr_fastest, all.size(), sr_beats_batch, all.size());
+}
+
+SeriesTotals RunDataset(const DatasetConfig& config, double scale_mult,
+                        std::size_t cap_override) {
   const std::size_t cap = cap_override > 0 ? cap_override : config.cap;
   const double scale = config.scale * scale_mult;
   datasets::DatasetOptions data_options;
@@ -143,10 +214,10 @@ void RunDataset(const DatasetConfig& config, double scale_mult,
   auto series = datasets::MakeDataset(config.kind, data_options);
   INCSR_CHECK(series.ok(), "dataset: %s",
               series.status().ToString().c_str());
-  RunSeries(*series,
-            datasets::DatasetName(config.kind) + " (scale " +
-                std::to_string(scale) + ")",
-            config.iterations, config.svd_as_published, scale, cap);
+  const std::string name = datasets::DatasetName(config.kind);
+  return RunSeries(*series, name,
+                   name + " (scale " + std::to_string(scale) + ")",
+                   config.iterations, config.svd_as_published, scale, cap);
 }
 
 }  // namespace
@@ -193,23 +264,20 @@ int main(int argc, char** argv) {
         bench::LoadEdgeListSeries(edges_path, temporal, num_snapshots);
     INCSR_CHECK(series.ok(), "--edges %s: %s", edges_path.c_str(),
                 series.status().ToString().c_str());
-    RunSeries(*series, edges_path + (temporal ? " [temporal]" : " [shuffled]"),
-              iterations, /*svd_as_published=*/false, /*scale=*/1.0, cap);
+    PrintVerdict({RunSeries(
+        *series, "edges",
+        edges_path + (temporal ? " [temporal]" : " [shuffled]"), iterations,
+        /*svd_as_published=*/false, /*scale=*/1.0, cap)});
     return 0;
   }
 
-  RunDataset({datasets::DatasetKind::kDblp, 0.08, 15, false, 200}, scale_mult,
-             cap_override);
-  RunDataset({datasets::DatasetKind::kCitH, 0.05, 15, false, 100}, scale_mult,
-             cap_override);
-  RunDataset({datasets::DatasetKind::kYouTu, 0.03, 5, true, 25}, scale_mult,
-             cap_override);
-
-  std::puts(
-      "\nReading the shape against the paper's Fig. 2a: Inc-SR fastest, "
-      "Inc-uSR slower\n(no pruning), Inc-SVD pays the r^4*n^2 tensor "
-      "products (and crashes on YOUTU),\nBatch is flat w.r.t. |dE| (full "
-      "recomputation). Absolute values differ from the\npaper (scaled "
-      "stand-ins, different hardware); see EXPERIMENTS.md.");
+  PrintVerdict({
+      RunDataset({datasets::DatasetKind::kDblp, 0.08, 15, false, 200},
+                 scale_mult, cap_override),
+      RunDataset({datasets::DatasetKind::kCitH, 0.05, 15, false, 100},
+                 scale_mult, cap_override),
+      RunDataset({datasets::DatasetKind::kYouTu, 0.03, 5, true, 25},
+                 scale_mult, cap_override),
+  });
   return 0;
 }

@@ -20,8 +20,8 @@ graph::DynamicDiGraph MakeGraph(std::size_t n, double degree,
                                 std::uint64_t seed = 11) {
   // Clustered, like the real datasets: the Inc-SR vs Inc-uSR scaling
   // claim concerns graphs whose similarity structure HAS prunable zeros;
-  // an unclustered small graph saturates S and measures only overhead
-  // (see EXPERIMENTS.md on the dense-reach scale artifact).
+  // an unclustered small graph saturates S (every pair reachable, so
+  // nothing to prune) and measures only overhead.
   auto stream = graph::EvolvingLinkage(
       {.num_nodes = n,
        .num_edges = static_cast<std::size_t>(degree * static_cast<double>(n)),
@@ -84,7 +84,7 @@ void BM_IncUsrUnitUpdate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   graph::DynamicDiGraph g = MakeGraph(n, 8.0);
   simrank::SimRankOptions options = Options();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   Rng rng(3);
   for (auto _ : state) {
@@ -105,7 +105,7 @@ void BM_IncSrUnitUpdate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   graph::DynamicDiGraph g = MakeGraph(n, 8.0);
   simrank::SimRankOptions options = Options();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   core::IncSrEngine engine(options);
   Rng rng(3);
@@ -198,7 +198,7 @@ void BM_UpdateSeed(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   graph::DynamicDiGraph g = MakeGraph(n, 8.0);
   simrank::SimRankOptions options = Options();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   Rng rng(5);
   auto ins = graph::SampleInsertions(g, 1, &rng);

@@ -2,30 +2,14 @@
 // work-stealing scheduler: K concurrent appliers (one thread each, bound
 // to distinct affinity groups like the sharded service's shard slots)
 // replay independent IncSR insertion streams through the SHARED global
-// scheduler, at each thread count in --threads-list, in both admission
-// modes:
+// scheduler, at each thread count in --threads-list. Concurrent regions
+// interleave across the worker set.
 //
-//   exclusive      — the legacy ThreadPool policy (one region at a time,
-//                    busy => inline-serial), re-enabled via
-//                    Scheduler::set_exclusive_regions(true). Its
-//                    regions_inline_busy delta is the cliff: every count
-//                    is a region that lost its parallelism to a
-//                    neighboring applier.
-//   work_stealing  — the default: concurrent regions interleave across
-//                    the worker set; inline-busy MUST stay zero.
-//
-// Reported per (mode, threads): aggregate applied-updates/s across the
-// appliers, the per-run regions_inline_busy / regions_parallel / steals
-// deltas, and the stealing-vs-exclusive speedup at the same thread
-// count. Determinism is checked, not assumed: every applier's final S
+// Reported per thread count: aggregate applied-updates/s across the
+// appliers and the per-run regions_parallel / steals / tickets_pushed
+// deltas. Determinism is checked, not assumed: every applier's final S
 // must be bitwise identical to its own serial (1-thread, uncontended)
-// replay, in every mode, at every thread count.
-//
-// Note the gap is a function of the host's core count: with W hardware
-// threads the exclusive mode serializes roughly (K-1)/K of the regions
-// while stealing keeps all W busy, so single-core CI hosts will show
-// parity (both modes degenerate to time-slicing) where real multi-core
-// serving hosts show the scaling this bench exists to prove.
+// replay, at every thread count.
 //
 // Usage: bench_scheduler_contention [--nodes N] [--degree D]
 //          [--updates U] [--iterations K] [--appliers A]
@@ -105,11 +89,9 @@ la::DenseMatrix ReplayStream(const Config& config, const Applier& applier,
 }
 
 struct RunResult {
-  bool exclusive = false;
   int threads = 0;
   double seconds = 0.0;
   double aggregate_updates_per_sec = 0.0;
-  std::uint64_t regions_inline_busy = 0;
   std::uint64_t regions_parallel = 0;
   std::uint64_t steals = 0;
   std::uint64_t tickets_pushed = 0;
@@ -118,9 +100,8 @@ struct RunResult {
 RunResult RunContended(const Config& config,
                        const std::vector<Applier>& appliers,
                        const std::vector<la::DenseMatrix>& reference,
-                       int threads, bool exclusive) {
+                       int threads) {
   Scheduler& scheduler = Scheduler::Global();
-  scheduler.set_exclusive_regions(exclusive);
   const SchedulerStats before = scheduler.stats();
 
   std::vector<la::DenseMatrix> finals(appliers.size());
@@ -135,27 +116,23 @@ RunResult RunContended(const Config& config,
   for (std::thread& worker : workers) worker.join();
 
   RunResult result;
-  result.exclusive = exclusive;
   result.threads = threads;
   result.seconds = timer.ElapsedSeconds();
-  scheduler.set_exclusive_regions(false);
 
   const double total_updates =
       static_cast<double>(config.updates * appliers.size());
   result.aggregate_updates_per_sec =
       result.seconds > 0.0 ? total_updates / result.seconds : 0.0;
   const SchedulerStats after = scheduler.stats();
-  result.regions_inline_busy =
-      after.regions_inline_busy - before.regions_inline_busy;
   result.regions_parallel = after.regions_parallel - before.regions_parallel;
   result.steals = after.steals - before.steals;
   result.tickets_pushed = after.tickets_pushed - before.tickets_pushed;
 
   for (std::size_t i = 0; i < appliers.size(); ++i) {
     INCSR_CHECK(la::BitwiseEqual(finals[i], reference[i]),
-                "applier %zu S diverged (mode=%s threads=%d) — contention "
-                "broke the determinism contract",
-                i, exclusive ? "exclusive" : "work_stealing", threads);
+                "applier %zu S diverged (threads=%d) — contention broke the "
+                "determinism contract",
+                i, threads);
   }
   return result;
 }
@@ -234,31 +211,15 @@ int main(int argc, char** argv) {
               config.appliers, build_timer.ElapsedSeconds());
 
   std::vector<RunResult> results;
-  std::printf("  %14s %8s %10s %14s %12s %10s %8s\n", "mode", "threads",
-              "seconds", "agg upd/s", "inline-busy", "parallel", "steals");
+  std::printf("  %8s %10s %14s %10s %8s\n", "threads", "seconds",
+              "agg upd/s", "parallel", "steals");
   for (int threads : config.threads_list) {
-    for (const bool exclusive : {true, false}) {
-      results.push_back(
-          RunContended(config, appliers, reference, threads, exclusive));
-      const RunResult& run = results.back();
-      std::printf("  %14s %8d %8.3f s %14.0f %12llu %10llu %8llu\n",
-                  run.exclusive ? "exclusive" : "work-stealing", run.threads,
-                  run.seconds, run.aggregate_updates_per_sec,
-                  static_cast<unsigned long long>(run.regions_inline_busy),
-                  static_cast<unsigned long long>(run.regions_parallel),
-                  static_cast<unsigned long long>(run.steals));
-      INCSR_CHECK(run.exclusive || run.regions_inline_busy == 0,
-                  "work-stealing mode hit the inline-busy path %llu times",
-                  static_cast<unsigned long long>(run.regions_inline_busy));
-    }
-    const RunResult& excl = results[results.size() - 2];
-    const RunResult& steal = results.back();
-    if (excl.seconds > 0.0 && steal.seconds > 0.0) {
-      std::printf("  %14s %8d   stealing/exclusive throughput = %.2fx\n", "",
-                  threads,
-                  steal.aggregate_updates_per_sec /
-                      excl.aggregate_updates_per_sec);
-    }
+    results.push_back(RunContended(config, appliers, reference, threads));
+    const RunResult& run = results.back();
+    std::printf("  %8d %8.3f s %14.0f %10llu %8llu\n", run.threads,
+                run.seconds, run.aggregate_updates_per_sec,
+                static_cast<unsigned long long>(run.regions_parallel),
+                static_cast<unsigned long long>(run.steals));
   }
 
   if (!config.json_path.empty()) {
@@ -275,11 +236,10 @@ int main(int argc, char** argv) {
              static_cast<std::size_t>(std::thread::hardware_concurrency()));
     for (const RunResult& run : results) {
       root.AddObject("results")
-          ->Set("mode", run.exclusive ? "exclusive" : "work_stealing")
+          ->Set("mode", "work_stealing")
           .Set("threads", run.threads)
           .Set("seconds", run.seconds)
           .Set("aggregate_updates_per_sec", run.aggregate_updates_per_sec)
-          .Set("regions_inline_busy", run.regions_inline_busy)
           .Set("regions_parallel", run.regions_parallel)
           .Set("steals", run.steals)
           .Set("tickets_pushed", run.tickets_pushed)

@@ -155,18 +155,6 @@ void Scheduler::ParallelForChunks(std::size_t begin, std::size_t end,
     run_inline();
     return;
   }
-  std::unique_lock<std::mutex> exclusive_lock(exclusive_mu_,
-                                              std::defer_lock);
-  if (exclusive_regions_.load(std::memory_order_relaxed)) {
-    // Legacy ThreadPool admission: one region at a time; busy => the
-    // old inline-serial cliff the contention bench measures against.
-    if (!exclusive_lock.try_lock()) {
-      regions_inline_busy_.fetch_add(1, std::memory_order_relaxed);
-      run_inline();
-      return;
-    }
-  }
-
   auto region = std::make_shared<Region>();
   region->fn = &fn;
   region->begin = begin;
@@ -354,8 +342,6 @@ SchedulerStats Scheduler::stats() const {
       regions_inline_serial_.load(std::memory_order_relaxed);
   out.regions_inline_nested =
       regions_inline_nested_.load(std::memory_order_relaxed);
-  out.regions_inline_busy =
-      regions_inline_busy_.load(std::memory_order_relaxed);
   out.tickets_pushed = tickets_pushed_.load(std::memory_order_relaxed);
   out.tickets_dropped = tickets_dropped_.load(std::memory_order_relaxed);
   out.steals = steals_.load(std::memory_order_relaxed);

@@ -1,10 +1,9 @@
 // Scheduler — the repo's parallelism primitive: a persistent worker set
-// with a work-stealing ticket scheduler. It replaces the single-region
-// ThreadPool: where the old pool admitted one parallel region at a time
-// (a busy pool degraded every other applier to inline-serial), the
-// scheduler lets any number of concurrent regions share the worker set.
+// with a work-stealing ticket scheduler. Any number of concurrent
+// regions share the worker set; a region never runs inline because
+// another one is in flight.
 //
-// Determinism contract (unchanged from ThreadPool): ParallelForChunks
+// Determinism contract: ParallelForChunks
 // runs a caller-chosen number of contiguous chunks whose geometry depends
 // only on (begin, end, num_chunks) — never on the thread count, the
 // worker that runs a chunk, or scheduling order. Kernels that merge
@@ -35,9 +34,7 @@
 //
 // Nested submissions (a ParallelFor from inside a chunk fn) run their
 // chunks inline on the calling thread — same geometry, same results, no
-// deadlock. set_exclusive_regions(true) restores the legacy ThreadPool
-// admission policy (one region at a time, busy => inline) so benches can
-// A/B the old cliff against stealing on the same binary.
+// deadlock.
 #ifndef INCSR_COMMON_SCHEDULER_H_
 #define INCSR_COMMON_SCHEDULER_H_
 
@@ -65,10 +62,6 @@ struct SchedulerStats {
   std::uint64_t regions_inline_serial = 0;
   /// Inline because the submitter was already inside a region (nested).
   std::uint64_t regions_inline_nested = 0;
-  /// Inline because exclusive-regions (legacy ThreadPool) mode found
-  /// another region in flight. Always 0 in work-stealing mode — the
-  /// contention bench's headline regression signal.
-  std::uint64_t regions_inline_busy = 0;
   std::uint64_t tickets_pushed = 0;
   /// Tickets dropped on a full ring (load-balance loss only).
   std::uint64_t tickets_dropped = 0;
@@ -151,17 +144,6 @@ class Scheduler {
   /// The calling thread's bound group, or -1 if unbound.
   static int CurrentThreadGroup();
 
-  /// Legacy ThreadPool admission policy for A/B benching: when true, at
-  /// most one region runs on the workers at a time and a submission that
-  /// finds the scheduler busy runs inline (counted in
-  /// regions_inline_busy). Default false (work-stealing).
-  void set_exclusive_regions(bool exclusive) {
-    exclusive_regions_.store(exclusive, std::memory_order_relaxed);
-  }
-  bool exclusive_regions() const {
-    return exclusive_regions_.load(std::memory_order_relaxed);
-  }
-
   /// Snapshot of the monotonic counters.
   SchedulerStats stats() const;
 
@@ -217,9 +199,6 @@ class Scheduler {
   std::atomic<std::size_t> sleeping_workers_{0};
   std::atomic<bool> shutdown_{false};
 
-  std::mutex exclusive_mu_;  // legacy one-region-at-a-time admission
-  std::atomic<bool> exclusive_regions_{false};
-
   // Home-worker rotation for threads with no bound group.
   std::atomic<std::uint64_t> next_home_{0};
 
@@ -227,7 +206,6 @@ class Scheduler {
   std::atomic<std::uint64_t> regions_parallel_{0};
   std::atomic<std::uint64_t> regions_inline_serial_{0};
   std::atomic<std::uint64_t> regions_inline_nested_{0};
-  std::atomic<std::uint64_t> regions_inline_busy_{0};
   std::atomic<std::uint64_t> tickets_pushed_{0};
   std::atomic<std::uint64_t> tickets_dropped_{0};
   std::atomic<std::uint64_t> steals_{0};

@@ -19,10 +19,10 @@ std::vector<CoalescedGroup> CoalesceByTarget(
   return groups;
 }
 
-template <typename SMatrix>
 Status CoalescedBatchEngine::ApplyBatch(
     const std::vector<graph::EdgeUpdate>& updates,
-    graph::DynamicDiGraph* graph, la::DynamicRowMatrix* q, SMatrix* s) {
+    graph::DynamicDiGraph* graph, la::DynamicRowMatrix* q,
+    la::ScoreStore* s) {
   INCSR_CHECK(graph != nullptr && q != nullptr && s != nullptr,
               "CoalescedBatchEngine::ApplyBatch: null output");
   stats_ = AffectedAreaStats{};
@@ -34,10 +34,10 @@ Status CoalescedBatchEngine::ApplyBatch(
   return Status::OK();
 }
 
-template <typename SMatrix>
 Status CoalescedBatchEngine::ApplyGroup(const CoalescedGroup& group,
                                         graph::DynamicDiGraph* graph,
-                                        la::DynamicRowMatrix* q, SMatrix* s) {
+                                        la::DynamicRowMatrix* q,
+                                        la::ScoreStore* s) {
   INCSR_RETURN_IF_ERROR(engine_.ApplyRowUpdate(
       group.target, std::span(group.changes.data(), group.changes.size()),
       graph, q, s));
@@ -45,12 +45,5 @@ Status CoalescedBatchEngine::ApplyGroup(const CoalescedGroup& group,
   stats_.Merge(engine_.last_stats());
   return Status::OK();
 }
-
-template Status CoalescedBatchEngine::ApplyBatch<la::DenseMatrix>(
-    const std::vector<graph::EdgeUpdate>&, graph::DynamicDiGraph*,
-    la::DynamicRowMatrix*, la::DenseMatrix*);
-template Status CoalescedBatchEngine::ApplyBatch<la::ScoreStore>(
-    const std::vector<graph::EdgeUpdate>&, graph::DynamicDiGraph*,
-    la::DynamicRowMatrix*, la::ScoreStore*);
 
 }  // namespace incsr::core

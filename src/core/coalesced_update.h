@@ -23,7 +23,7 @@
 #include "core/inc_sr.h"
 #include "graph/digraph.h"
 #include "graph/update_stream.h"
-#include "la/dense_matrix.h"
+#include "la/score_store.h"
 #include "la/sparse_matrix.h"
 #include "simrank/options.h"
 
@@ -54,12 +54,10 @@ class CoalescedBatchEngine {
   /// Applies a whole batch, one rank-one solve per distinct target. On
   /// entry *graph/*q/*s are the OLD consistent state; on success the NEW.
   /// Fails (with the already-processed groups applied) if any individual
-  /// edge change is invalid. Generic over the score container (dense
-  /// matrix or COW ScoreStore), like IncSrEngine.
-  template <typename SMatrix>
+  /// edge change is invalid.
   Status ApplyBatch(const std::vector<graph::EdgeUpdate>& updates,
                     graph::DynamicDiGraph* graph, la::DynamicRowMatrix* q,
-                    SMatrix* s);
+                    la::ScoreStore* s);
 
   /// Number of rank-one solves the last ApplyBatch performed (groups with
   /// a net-zero row change are skipped entirely).
@@ -68,10 +66,9 @@ class CoalescedBatchEngine {
   const AffectedAreaStats& last_stats() const { return stats_; }
 
  private:
-  template <typename SMatrix>
   Status ApplyGroup(const CoalescedGroup& group,
                     graph::DynamicDiGraph* graph, la::DynamicRowMatrix* q,
-                    SMatrix* s);
+                    la::ScoreStore* s);
 
   simrank::SimRankOptions options_;
   IncSrEngine engine_;  // reused for its public unit-update path on

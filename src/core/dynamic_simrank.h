@@ -154,7 +154,8 @@ class DynamicSimRank {
   /// matrix-form fixed point S = C·Q·S·Qᵀ + (1−C)·I is exactly (1−C)·I,
   /// which the score store builds sparse-direct in O(n). This is the entry
   /// point for an n the dense store cannot hold — grow structure with
-  /// InsertEdge afterwards (rows densify on first write as usual).
+  /// InsertEdge afterwards (written rows stay sparse until they pass the
+  /// store's max_density gate).
   static Result<DynamicSimRank> CreateIsolated(
       std::size_t num_nodes, const simrank::SimRankOptions& options = {},
       UpdateAlgorithm algorithm = UpdateAlgorithm::kIncSR);

@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <string>
 
-#include "la/row_writer.h"
 #include "la/vector.h"
 
 namespace incsr::la {
@@ -52,19 +51,9 @@ class DenseMatrix {
   /// Raw pointer to row i (contiguous, cols() entries).
   const double* RowPtr(std::size_t i) const { return &data_[i * cols_]; }
   double* RowPtr(std::size_t i) { return &data_[i * cols_]; }
-  /// Legacy write entry point shared with la::ScoreStore (which
-  /// copy-on-writes here); for a plain dense matrix it is just the mutable
-  /// row pointer.
-  double* MutableRowPtr(std::size_t i) { return RowPtr(i); }
-  /// Representation-aware write session shared with la::ScoreStore (the
-  /// kernels' write contract): a plain dense matrix always opens a
-  /// dense-direct session on the row, and commit is a no-op.
-  void BeginWriteRow(std::size_t i, RowWriter* w) {
-    w->BeginDense(i, RowPtr(i));
-  }
-  void CommitWriteRow(RowWriter* w) { w->Finish(); }
   /// Representation-agnostic read entry point shared with la::ScoreStore
-  /// (which gathers sparse rows into *scratch); every row of a plain dense
+  /// (which gathers sparse rows into *scratch), so row-generic helpers
+  /// such as la::MaxAbsDiff accept either; every row of a plain dense
   /// matrix is contiguous, so the scratch is never used.
   const double* ReadRow(std::size_t i, Vector* /*scratch*/) const {
     return RowPtr(i);

@@ -1,21 +1,19 @@
 // RowWriter — the representation-aware write session behind the kernel
-// write contract. Kernels used to receive a flat dense `double*` for every
-// row they scatter into, which forced ScoreStore to densify sparse rows on
-// write (transiently materializing O(touched · n) dense bytes per batch).
-// A RowWriter instead lets the store pick the cheapest backing per row:
+// write contract. Kernels never receive a flat pointer into the store;
+// they write each row through a session, and the store picks the
+// cheapest backing per row:
 //
-//   - Dense-direct: the row is dense-backed (or the store is in
-//     densify-on-write compatibility mode), so the writer wraps the raw
+//   - Dense-direct: the row is dense-backed, so the writer wraps the raw
 //     row pointer and Add() compiles down to `row[col] += delta`.
 //   - Sparse session: the row stays in its sparse block. Add() accumulates
 //     (column, delta) pairs in a writer-local open-addressing table; the
 //     first touch of a column SEEDS the accumulator with the base block's
-//     stored value (exact +0.0 when absent — the same bytes a densify
-//     would have gathered), then every delta applies immediately. The
-//     per-column floating-point sequence is therefore IDENTICAL to
-//     writing through a densified row: (stored + d₁) + d₂ + …, in kernel
-//     emission order — which is what keeps sparse-native commits bitwise
-//     equal to the densify-on-write path at ε = 0.
+//     stored value (exact +0.0 when absent — the same bytes a gather
+//     would read), then every delta applies immediately. The per-column
+//     floating-point sequence is therefore IDENTICAL to writing through a
+//     dense row: (stored + d₁) + d₂ + …, in kernel emission order — which
+//     is what keeps a sparse commit bitwise equal to the all-dense store
+//     at ε = 0.
 //
 // Dense() spills a sparse session to a writer-local dense buffer (gather
 // base, flush accumulated touches) for kernels that genuinely write O(n)
@@ -25,7 +23,7 @@
 // Threading: Begin*/commit are store-side and writer-thread-only, but
 // Add()/Dense() touch only writer-local state plus the IMMUTABLE base
 // block, so disjoint rows' writers may be filled from parallel workers —
-// the same discipline as the old pre-materialized row pointers.
+// the same discipline as any disjoint-row parallel write.
 #ifndef INCSR_LA_ROW_WRITER_H_
 #define INCSR_LA_ROW_WRITER_H_
 
@@ -77,8 +75,7 @@ class RowWriter {
   double* Dense();
 
   // ---- store-side session protocol ----------------------------------------
-  // Called by the score containers (ScoreStore, DenseMatrix); kernels
-  // never call these directly.
+  // Called by la::ScoreStore; kernels never call these directly.
 
   /// Opens a dense-direct session onto `dense` (cols entries, exclusively
   /// owned by the caller for the session's duration).

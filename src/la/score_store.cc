@@ -142,29 +142,23 @@ void ScoreStore::BumpDensePeak() {
   }
 }
 
-double* ScoreStore::MutableRowPtr(std::size_t i) {
+void ScoreStore::BeginWriteRow(std::size_t i, RowWriter* w) {
   INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
   const std::size_t s = i >> shard_shift_;
-  const RowBlock* block = shards_[s].get();
-  if (block->is_sparse()) {
-    // Densify-on-write (legacy shim semantics): the caller wants a flat
-    // row, whatever the tier. The fresh dense block is unshared whether or
-    // not the sparse one was — a still-shared sparse block stays alive for
-    // its Views. Counted as a write-path spill, not a tier promotion.
-    if (shared_[s]) RecordTouchedShard(s);
-    stats_.sparse_payload_bytes -= block->payload_bytes();
-    --stats_.rows_sparse;
-    ++stats_.rows_spilled_dense;
-    TRACE_COUNTER_ARG(kStoreWriteSpill, i, 1);
-    shards_[s] = DensifyBlock(*block, cols_);
-    shared_[s] = 0;
-    BumpDensePeak();
-  } else if (shared_[s]) {
+  if (shards_[s]->is_sparse()) {
+    // Sparse session: deltas accumulate against the pinned base block, and
+    // nothing in the shard table changes until commit — so a reader (or a
+    // parallel Add on another row's writer) never observes a half-written
+    // row. Sparse blocks exist only at rows_per_shard == 1.
+    w->BeginSparse(i, cols_, shards_[s]);
+    return;
+  }
+  if (shared_[s]) {
     // First write into a shard some published View references: clone it.
     // The old shard stays alive (and byte-stable) for as long as any View
     // holds it; this clone IS the incremental publish cost.
     auto clone = std::make_shared<RowBlock>();
-    clone->dense = block->dense;
+    clone->dense = shards_[s]->dense;
     stats_.rows_copied += RowsInShard(s);
     stats_.bytes_copied += clone->dense.size() * sizeof(double);
     TRACE_COUNTER_ARG(kStoreRowCow, RowsInShard(s),
@@ -178,23 +172,7 @@ double* ScoreStore::MutableRowPtr(std::size_t i) {
   // const_cast is sound: an unshared shard is exclusively owned by this
   // store, and only the single writer thread reaches this path.
   auto* shard = const_cast<RowBlock*>(shards_[s].get());
-  return &shard->dense[(i & shard_mask_) * cols_];
-}
-
-void ScoreStore::BeginWriteRow(std::size_t i, RowWriter* w) {
-  INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
-  const std::size_t s = i >> shard_shift_;
-  if (shards_[s]->is_sparse() && write_mode_ == WriteMode::kSparseNative) {
-    // Sparse-native session: deltas accumulate against the pinned base
-    // block, and nothing in the shard table changes until commit — so a
-    // reader (or a parallel Add on another row's writer) never observes a
-    // half-written row. Sparse blocks exist only at rows_per_shard == 1.
-    w->BeginSparse(i, cols_, shards_[s]);
-    return;
-  }
-  // Dense-backed row — or the legacy densify-on-write mode: resolve COW
-  // (and the densify, with its spill accounting) exactly like the shim.
-  w->BeginDense(i, MutableRowPtr(i));
+  w->BeginDense(i, &shard->dense[(i & shard_mask_) * cols_]);
 }
 
 void ScoreStore::CommitWriteRow(RowWriter* w) {
@@ -219,7 +197,7 @@ void ScoreStore::CommitWriteRow(RowWriter* w) {
         w->MergeSparse(max_nnz, &merge_scratch_cols_, &merge_scratch_vals_);
     if (landed_sparse && !shared_[s]) {
       // The shard is already writer-private this epoch, so — by the same
-      // exclusivity argument as MutableRowPtr's const_cast — the merged
+      // exclusivity argument as BeginWriteRow's const_cast — the merged
       // arrays can swap into the live block directly. The displaced arrays
       // become the next commit's scratch, so a row merged repeatedly
       // within one batch allocates nothing after the first merge. The
@@ -283,7 +261,7 @@ bool ScoreStore::SparsifyRow(std::size_t i,
   if (!result.block) return false;  // density gate: stay dense
   // A shared→unshared transition enters the touched delta even when the
   // readable bytes did not change (dropped == 0): the invariant "unshared
-  // implies already recorded this epoch" is what lets MutableRowPtr skip
+  // implies already recorded this epoch" is what lets BeginWriteRow skip
   // the lookup, and a spurious re-rank of a demoted row is cheap.
   if (shared_[s]) RecordTouchedShard(s);
   stats_.sparse_payload_bytes += result.block->payload_bytes();

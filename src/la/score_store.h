@@ -13,22 +13,19 @@
 //   - Publish() snapshots the matrix by copying the POINTER TABLE only —
 //     O(n / rows_per_shard) shared_ptr bumps, never the O(n²) payload —
 //     and marks every block as shared with that View.
-//   - BeginWriteRow(i)/CommitWriteRow() is the write entry point: the
-//     store opens a representation-aware RowWriter session per row. A
+//   - BeginWriteRow(i)/CommitWriteRow() is the only write entry point:
+//     the store opens a representation-aware RowWriter session per row. A
 //     dense-backed row hands out its flat pointer (cloning the block first
 //     if it is shared with a live or past View — copy-on-write); a
-//     sparse-backed row, under the default kSparseNative write mode, stays
-//     sparse: the kernel's (column, delta) stream accumulates in the
-//     writer and commit index-merges it with the immutable base block,
-//     spilling to dense only past the max_density gate (counted as
+//     sparse-backed row stays sparse: the kernel's (column, delta) stream
+//     accumulates in the writer and commit index-merges it with the
+//     immutable base block, spilling to dense only past the max_density
+//     gate or when the kernel asks the writer for a flat row (counted as
 //     rows_spilled_dense, separate from explicit DensifyRow promotions).
-//     MutableRowPtr(i) remains as a compatibility shim with the old
-//     densify-on-write semantics, which kDensifyOnWrite mode restores for
-//     the whole store (the A/B baseline). The serving layer re-sparsifies
-//     cold rows at publish time (SparsifyRow/DensifyRow), so the tier a
-//     row occupies is earned by its traffic, not fixed at construction —
-//     but under sparse-native writes a batch-touched sparse row never
-//     leaves its tier, so publish no longer pays a re-sparsify for it.
+//     The serving layer re-sparsifies cold rows at publish time
+//     (SparsifyRow/DensifyRow), so the tier a row occupies is earned by
+//     its traffic, not fixed at construction; a batch-touched sparse row
+//     never leaves its tier, so publish pays no re-sparsify for it.
 //
 // Accuracy contract when sparsity is enabled (docs/score_store.md): every
 // entry a sparsification drops has |v| < ε, exact +0.0 entries are always
@@ -37,9 +34,10 @@
 // bytes are bitwise identical to the dense original.
 //
 // Threading model (matches the serving layer): ONE writer thread calls the
-// mutating methods (MutableRowPtr, SparsifyRow, DensifyRow, Publish,
-// Assign); any number of reader threads read through Views they obtained
-// via a synchronizing handoff (e.g. a shared_ptr swap under a mutex).
+// mutating methods (BeginWriteRow/CommitWriteRow, SparsifyRow,
+// DensifyRow, Publish, Assign); any number of reader threads read through
+// Views they obtained via a synchronizing handoff (e.g. a shared_ptr swap
+// under a mutex).
 // Blocks are immutable once shared and freed by shared_ptr refcounting, so
 // no reader ever races a write — the COW decision uses a writer-private
 // "shared since last clone" flag, not shared_ptr::use_count(), keeping the
@@ -86,9 +84,9 @@ struct ScoreStoreStats {
   /// Cumulative sparse→dense transitions, split by cause:
   /// `rows_densified` counts EXPLICIT DensifyRow promotions (tier policy
   /// promoting a hot row); `rows_spilled_dense` counts write-path
-  /// densifications (MutableRowPtr densify-on-write, RowWriter Dense()
-  /// spills, and sparse-native commits past the max_density gate). Their
-  /// sum equals the single conflated counter older benches recorded.
+  /// densifications (RowWriter Dense() spills and sparse commits past the
+  /// max_density gate). Their sum equals the single conflated counter
+  /// older benches recorded.
   std::uint64_t rows_densified = 0;
   std::uint64_t rows_spilled_dense = 0;
   /// Sparse-native write sessions that committed as an index-merge (the
@@ -197,7 +195,7 @@ class ScoreStore {
   /// n×n matrix `value · I` built sparse-direct: one stored entry per row,
   /// O(n) total instead of the O(n²) dense slab. This is how an engine
   /// stands up an edgeless-graph state at an n the dense store cannot
-  /// hold (rows densify on first write as usual).
+  /// hold (writes keep a row sparse until it passes the max_density gate).
   static ScoreStore ScaledIdentity(std::size_t n, double value);
 
   std::size_t rows() const { return rows_; }
@@ -237,29 +235,12 @@ class ScoreStore {
                             cols_, scratch);
   }
 
-  /// Raw pointer to row i for WRITES — the densify-on-write compatibility
-  /// shim. Clones the containing block first if it is shared with any
-  /// published View (copy-on-write), densifying a sparse block in the same
-  /// step (counted as rows_spilled_dense). New code uses BeginWriteRow/
-  /// CommitWriteRow, which keeps sparse rows sparse. Writer thread only.
-  double* MutableRowPtr(std::size_t i);
-
-  /// How writes land on sparse-backed rows. kSparseNative (the default)
-  /// keeps them sparse via RowWriter accumulation sessions; kDensifyOnWrite
-  /// restores the legacy behavior — every touched sparse row densifies —
-  /// as the A/B baseline and for representation-bisection debugging. Both
-  /// modes produce bitwise-identical readable bytes at ε = 0.
-  enum class WriteMode : std::uint8_t { kSparseNative, kDensifyOnWrite };
-  void set_write_mode(WriteMode mode) { write_mode_ = mode; }
-  WriteMode write_mode() const { return write_mode_; }
-
-  /// Opens a write session for row i on *w (see la::RowWriter): dense rows
-  /// (and sparse rows under kDensifyOnWrite) get a dense-direct session
-  /// after the usual COW resolution; sparse rows under kSparseNative get
-  /// an accumulation session against the immutable base block — nothing
-  /// the store publishes changes until CommitWriteRow. Writer thread only;
-  /// sessions on DISJOINT rows may be filled (Add/Dense) from parallel
-  /// workers between Begin and Commit.
+  /// Opens a write session for row i on *w (see la::RowWriter): a dense
+  /// row gets a dense-direct session after the usual COW resolution; a
+  /// sparse row gets an accumulation session against the immutable base
+  /// block — nothing the store publishes changes until CommitWriteRow.
+  /// Writer thread only; sessions on DISJOINT rows may be filled
+  /// (Add/Dense) from parallel workers between Begin and Commit.
   void BeginWriteRow(std::size_t i, RowWriter* w);
 
   /// Closes a session opened by BeginWriteRow. Dense-direct sessions are a
@@ -283,9 +264,9 @@ class ScoreStore {
   /// Returns false — leaving the row dense — when the row is already
   /// sparse or fails the max_density gate. On success `*dropped_out`
   /// (optional) receives the number of lossy drops; when it is zero the
-  /// row's readable bytes are unchanged. Writer thread only; like
-  /// MutableRowPtr, a demotion of a shared row records it in the
-  /// touched-row delta so index/cache maintenance sees it.
+  /// row's readable bytes are unchanged. Writer thread only; like a
+  /// write, a demotion of a shared row records it in the touched-row delta
+  /// so index/cache maintenance sees it.
   bool SparsifyRow(std::size_t i, std::span<const std::int32_t> keep_cols,
                    std::size_t* dropped_out = nullptr);
 
@@ -302,7 +283,7 @@ class ScoreStore {
 
   // ---- Touched-row delta surface -----------------------------------------
   // Between two Publish() calls, the rows whose bytes may differ from the
-  // previous View are exactly the rows written through MutableRowPtr or
+  // previous View are exactly the rows written through BeginWriteRow or
   // retired/promoted by SparsifyRow/DensifyRow; the COW clone records them
   // here at shard granularity. The serving layer reads this (before
   // calling Publish(), which resets it) to re-rank its per-node top-k
@@ -366,7 +347,6 @@ class ScoreStore {
   std::vector<std::int32_t> touched_rows_;
   bool sparsity_enabled_ = false;
   SparsityConfig sparsity_;
-  WriteMode write_mode_ = WriteMode::kSparseNative;
   // CommitWriteRow merge scratch: a commit into a writer-private shard
   // swaps these with the block's arrays, so sustained churn on the same
   // rows recycles the same two buffers instead of allocating per merge.

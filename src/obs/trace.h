@@ -106,9 +106,9 @@ enum class EventId : std::uint16_t {
   kRpc = 21,
 
   // ---- score store, sparse-native write path (la/score_store.cc) ----
-  /// Counter: a sparse row densified on the WRITE path (MutableRowPtr
-  /// densify-on-write, a RowWriter Dense() spill, or a merge past the
-  /// max_density gate) — distinct from a tier-policy promotion.
+  /// Counter: a sparse row densified on the WRITE path (a RowWriter
+  /// Dense() spill or a merge past the max_density gate) — distinct from
+  /// a tier-policy promotion.
   kStoreWriteSpill = 22,
   /// Counter: a sparse-native write session committed as an index-merge
   /// (the row stayed sparse); value = merged payload bytes.

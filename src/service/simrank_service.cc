@@ -50,12 +50,6 @@ SimRankService::SimRankService(core::DynamicSimRank index,
     // stored perturbation of δ can grow to at most δ/(1−C) in S.
     config.error_amplification = 1.0 / (1.0 - index_.options().damping);
     index_.mutable_score_store()->set_sparsity(config);
-    // Sparse-native writes are the store's default; the policy flag
-    // restores the legacy densify-on-write behavior as an A/B baseline.
-    index_.mutable_score_store()->set_write_mode(
-        options_.sparse.densify_on_write
-            ? la::ScoreStore::WriteMode::kDensifyOnWrite
-            : la::ScoreStore::WriteMode::kSparseNative);
   }
   auto initial = std::make_shared<EpochSnapshot>();
   initial->epoch = 0;
@@ -519,11 +513,9 @@ void SimRankService::ApplyTierPolicy(bool all_touched) {
     return;
   }
   // Batch-touched rows that the write path left dense (COW'd dense rows,
-  // spills past the max_density gate, or the legacy densify-on-write
-  // mode) go back to sparse when cold. Under sparse-native writes most
-  // touched rows stayed in their sparse tier, so consider_demote
-  // early-returns on them and this pass costs almost nothing — the
-  // re-sparsify the old write path forced every epoch is gone. Iterate a
+  // spills past the max_density gate) go back to sparse when cold. Most
+  // touched sparse rows stayed in their tier, so consider_demote
+  // early-returns on them and this pass costs almost nothing. Iterate a
   // COPY — SparsifyRow appends to the live list.
   {
     const std::vector<std::int32_t> touched = store->touched_rows();
@@ -551,6 +543,13 @@ void SimRankService::ApplyTierPolicy(bool all_touched) {
 
 void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
   if (!adaptive_topk_) return;
+  // A grown node keeps its capacity through at least one full publish
+  // after the one that grew it, however cold it looks: the read that
+  // earned the grow decays to zero at that same publish, so without this
+  // floor a stream landing in two batches would undo the grow at the
+  // second publish before the node is queried again.
+  constexpr std::uint64_t kMinGrowResidencyPublishes = 1;
+  const std::uint64_t publish = index_.scores().stats().publishes;
   // Grow: nodes whose TopKFor missed past their entry since the last
   // publish earn a doubled capacity (the index clamps at 2× base); the
   // caller re-ranks them from the published bytes via *rerank.
@@ -560,6 +559,7 @@ void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
     grew.swap(grow_queue_);
   }
   const std::size_t n = index_.scores().rows();
+  if (grown_at_publish_.size() < n) grown_at_publish_.resize(n, 0);
   for (graph::NodeId node : grew) {
     const auto row = static_cast<std::size_t>(node);
     if (row >= n) continue;
@@ -567,6 +567,7 @@ void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
     if (topk_index_.SetNodeCapacity(row, current * 2) > current) {
       topk_cap_grows_.fetch_add(1, std::memory_order_relaxed);
       rerank->push_back(static_cast<std::int32_t>(row));
+      grown_at_publish_[row] = publish;
     }
   }
   // Shrink: grown nodes that went cold decay back toward the base
@@ -579,6 +580,9 @@ void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
     cap_clock_ = (cap_clock_ + 1) % n;
     const std::size_t current = topk_index_.NodeCapacity(row);
     if (current <= topk_index_.capacity()) continue;  // never below base
+    if (publish - grown_at_publish_[row] <= kMinGrowResidencyPublishes) {
+      continue;
+    }
     if (sketch_.Count(static_cast<graph::NodeId>(row)) > 0) continue;
     const std::size_t target = std::max(topk_index_.capacity(), current / 2);
     if (topk_index_.SetNodeCapacity(row, target) < current) {

@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "graph/transition.h"
 #include "graph/update_stream.h"
+#include "la/score_store.h"
 #include "simrank/batch_matrix.h"
 
 namespace incsr::core {
@@ -59,8 +60,8 @@ TEST(ApplyRowUpdate, SingleChangeMatchesUnitPath) {
   DynamicDiGraph g1 = TestGraph();
   DynamicDiGraph g2 = TestGraph();
   SimRankOptions options = Converged();
-  la::DenseMatrix s1 = simrank::BatchMatrix(g1, options);
-  la::DenseMatrix s2 = s1;
+  la::ScoreStore s1{simrank::BatchMatrix(g1, options)};
+  la::ScoreStore s2{s1.ToDense()};
   la::DynamicRowMatrix q1 = graph::BuildTransition(g1);
   la::DynamicRowMatrix q2 = graph::BuildTransition(g2);
   IncSrEngine unit(options);
@@ -91,7 +92,7 @@ TEST(ApplyRowUpdate, SingleChangeMatchesUnitPath) {
 TEST(ApplyRowUpdate, MultiInsertGroupMatchesBatchTruth) {
   DynamicDiGraph g = TestGraph(9);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   IncSrEngine engine(options);
 
@@ -111,7 +112,7 @@ TEST(ApplyRowUpdate, MultiInsertGroupMatchesBatchTruth) {
 TEST(ApplyRowUpdate, MixedGroupIncludingNetZero) {
   DynamicDiGraph g = TestGraph(13);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   IncSrEngine engine(options);
 
@@ -141,8 +142,8 @@ TEST(ApplyRowUpdate, MixedGroupIncludingNetZero) {
 TEST(ApplyRowUpdate, ValidationLeavesStateUntouched) {
   DynamicDiGraph g = TestGraph(21);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
-  la::DenseMatrix s_before = s;
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
+  const la::DenseMatrix s_before = s.ToDense();
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   DynamicDiGraph g_before = g;
   IncSrEngine engine(options);
@@ -180,8 +181,8 @@ TEST(CoalescedBatchEngine, WholeBatchMatchesSequentialAndTruth) {
   DynamicDiGraph g_coalesced = TestGraph(31, 24, 70);
   DynamicDiGraph g_sequential = TestGraph(31, 24, 70);
   SimRankOptions options = Converged();
-  la::DenseMatrix s_coalesced = simrank::BatchMatrix(g_coalesced, options);
-  la::DenseMatrix s_sequential = s_coalesced;
+  la::ScoreStore s_coalesced{simrank::BatchMatrix(g_coalesced, options)};
+  la::ScoreStore s_sequential{s_coalesced.ToDense()};
   la::DynamicRowMatrix q_coalesced = graph::BuildTransition(g_coalesced);
   la::DynamicRowMatrix q_sequential = graph::BuildTransition(g_sequential);
 
@@ -296,7 +297,7 @@ TEST(CoalescedBatchEngine, StatsAccumulateAcrossGroups) {
   DynamicDiGraph g = TestGraph(51);
   SimRankOptions options;
   options.iterations = 8;
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   CoalescedBatchEngine engine(options);
   Rng rng(7);

@@ -5,10 +5,12 @@
 // order, and the expansion kernels merge per-chunk accumulators whose
 // chunk geometry depends only on the data shape. These tests drive mixed
 // insert/delete streams through every UpdateAlgorithm (plus the
-// coalesced batch path) on both score containers at num_threads ∈
-// {1, 2, 4, hardware} and memcmp the results, including the epoch-view
-// sequence a serving reader would pin. The suite runs in the TSan CI job
-// to prove the pool + copy-on-write interplay is race-free.
+// coalesced batch path) on a never-published store (every write lands
+// in place) and on a store published every few updates (every write
+// copy-on-writes) at num_threads ∈ {1, 2, 4, hardware} and memcmp the
+// results, including the epoch-view sequence a serving reader would pin.
+// The suite runs in the TSan CI job to prove the pool + copy-on-write
+// interplay is race-free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -152,7 +154,7 @@ std::vector<int> ThreadCounts() {
 }
 
 // Result of one replay: the final matrix plus the epoch views a serving
-// reader would have pinned along the way (ScoreStore runs only).
+// reader would have pinned along the way (published runs only).
 struct Replay {
   la::DenseMatrix final_s;
   std::vector<la::DenseMatrix> epochs;
@@ -160,10 +162,9 @@ struct Replay {
 
 enum class Mode { kIncSrUnit, kIncUsrUnit, kCoalescedBatch };
 
-template <typename SMatrix>
 void Drive(const Fixture& f, Mode mode, int threads,
-           graph::DynamicDiGraph* g, la::DynamicRowMatrix* q, SMatrix* s,
-           const std::function<void()>& after_each) {
+           graph::DynamicDiGraph* g, la::DynamicRowMatrix* q,
+           la::ScoreStore* s, const std::function<void()>& after_each) {
   simrank::SimRankOptions options = f.options;
   options.num_threads = threads;
   switch (mode) {
@@ -191,12 +192,13 @@ void Drive(const Fixture& f, Mode mode, int threads,
   }
 }
 
+// Never published, so no row is ever copied on write.
 Replay ReplayDense(const Fixture& f, Mode mode, int threads) {
   graph::DynamicDiGraph g = f.base;
   la::DynamicRowMatrix q = graph::BuildTransition(g);
-  la::DenseMatrix s = f.s0;
+  la::ScoreStore s{la::DenseMatrix(f.s0)};
   Drive(f, mode, threads, &g, &q, &s, [] {});
-  return Replay{std::move(s), {}};
+  return Replay{s.ToDense(), {}};
 }
 
 Replay ReplayStore(const Fixture& f, Mode mode, int threads,
@@ -234,8 +236,8 @@ TEST_P(ParallelKernelsTest, StoreEpochsByteIdenticalAcrossThreadCounts) {
   Fixture f = usr ? MakeFixture(130, 9, 6, 6) : MakeFixture(520, 24, 16, 10);
   const std::size_t publish_every = 8;
   Replay serial = ReplayStore(f, GetParam(), 1, publish_every);
-  // The store path must also match the dense path bitwise (same kernels,
-  // different container).
+  // Publishing must not change a byte: the copy-on-write path matches the
+  // in-place path bitwise.
   EXPECT_TRUE(
       BitwiseEqual(serial.final_s, ReplayDense(f, GetParam(), 1).final_s));
   for (int threads : ThreadCounts()) {

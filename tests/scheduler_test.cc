@@ -1,9 +1,8 @@
 // Concurrent-region scheduler tests: the work-stealing guarantees the
 // single-region ThreadPool could not make. K independent submitters on
 // one Scheduler must (a) each see their range covered exactly once,
-// (b) all run PARALLEL — the regions_inline_busy counter stays zero in
-// work-stealing mode whenever workers exist (the contention regression
-// signal; only the legacy exclusive mode may bump it), and (c) leave
+// (b) all run PARALLEL on the worker set whenever workers exist (no
+// submitter is degraded to inline-serial by another's region), and (c) leave
 // every kernel bitwise deterministic: K appliers driving IncSR streams
 // concurrently through the shared Global() scheduler produce S matrices
 // and epoch-view sequences byte-identical to a serial replay, at every
@@ -69,58 +68,7 @@ TEST(SchedulerConcurrent, ConcurrentRegionsCoverRangesAndStayParallel) {
   // degraded all but one concurrent submitter to inline-serial.
   EXPECT_EQ(after.regions_parallel - before.regions_parallel,
             kSubmitters * kRegionsEach);
-  EXPECT_EQ(after.regions_inline_busy - before.regions_inline_busy, 0u);
   EXPECT_GT(after.tickets_pushed, before.tickets_pushed);
-}
-
-TEST(SchedulerConcurrent, ExclusiveModeDegradesOverlappingRegionToInline) {
-  // Deterministic replica of the legacy ThreadPool cliff: submitter A
-  // holds the one region slot open (its chunk 0 spins until B is done),
-  // so B's overlapping region MUST take the inline-busy path.
-  Scheduler scheduler(4);
-  scheduler.set_exclusive_regions(true);
-  const SchedulerStats before = scheduler.stats();
-
-  std::atomic<bool> b_done{false};
-  std::atomic<int> a_sum{0};
-  std::atomic<int> b_sum{0};
-  std::thread a([&] {
-    scheduler.ParallelForChunks(
-        0, 16, /*num_chunks=*/4, /*max_threads=*/4,
-        [&](std::size_t c, std::size_t lo, std::size_t hi) {
-          if (c == 0) {
-            while (!b_done.load(std::memory_order_acquire)) {
-              std::this_thread::yield();
-            }
-          }
-          for (std::size_t k = lo; k < hi; ++k) {
-            a_sum.fetch_add(static_cast<int>(k), std::memory_order_relaxed);
-          }
-        });
-  });
-  // A's region is admitted (and the exclusive slot taken) once the
-  // parallel counter moves; it cannot finish before b_done.
-  while (scheduler.stats().regions_parallel == before.regions_parallel) {
-    std::this_thread::yield();
-  }
-  std::thread b([&] {
-    scheduler.ParallelForChunks(
-        0, 16, /*num_chunks=*/4, /*max_threads=*/4,
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t k = lo; k < hi; ++k) {
-            b_sum.fetch_add(static_cast<int>(k), std::memory_order_relaxed);
-          }
-        });
-    b_done.store(true, std::memory_order_release);
-  });
-  b.join();
-  a.join();
-
-  EXPECT_EQ(a_sum.load(), 120);  // 0 + 1 + ... + 15, exactly once
-  EXPECT_EQ(b_sum.load(), 120);
-  const SchedulerStats after = scheduler.stats();
-  EXPECT_EQ(after.regions_inline_busy - before.regions_inline_busy, 1u);
-  EXPECT_EQ(after.regions_parallel - before.regions_parallel, 1u);
 }
 
 TEST(SchedulerConcurrent, GroupBindingIsThreadLocal) {
@@ -232,10 +180,9 @@ TEST(SchedulerConcurrent, AppliersBitwiseIdenticalAcrossThreadCounts) {
       }
     }
   }
-  // Work-stealing mode with free workers: no concurrent applier may
-  // have been degraded to the legacy busy-inline path.
+  // The multi-thread replays really ran regions on the worker set.
   const SchedulerStats after = Scheduler::Global().stats();
-  EXPECT_EQ(after.regions_inline_busy - before.regions_inline_busy, 0u);
+  EXPECT_GT(after.regions_parallel, before.regions_parallel);
 }
 
 }  // namespace

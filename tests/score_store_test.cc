@@ -7,7 +7,7 @@
 //     coalesced batch path) a mixed insert/delete stream applied through a
 //     ScoreStore — with epoch publishes and pinned views interleaved to
 //     force COW — produces a matrix bitwise identical to the same stream
-//     applied through a plain DenseMatrix.
+//     applied through a store that is never published (no COW at all).
 //   - Concurrency: a pinned view stays byte-stable while a writer thread
 //     COWs rows and republishes. The suite is TSan-clean; CI runs it under
 //     -fsanitize=thread.
@@ -45,6 +45,16 @@ DenseMatrix TestMatrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
+// Overwrites entry (i, j) through a one-row write session on the flat row
+// (a sparse row spills to dense), the way the kernels' dense fast path
+// writes.
+void SetEntry(ScoreStore* store, std::size_t i, std::size_t j, double value) {
+  RowWriter writer;
+  store->BeginWriteRow(i, &writer);
+  writer.Dense()[j] = value;
+  store->CommitWriteRow(&writer);
+}
+
 TEST(ScoreStore, RoundTripsDenseContent) {
   DenseMatrix dense = TestMatrix(9, 9);
   ScoreStore store(dense);
@@ -64,7 +74,7 @@ TEST(ScoreStore, RoundTripsDenseContent) {
 
 TEST(ScoreStore, WritesWithoutPublishNeverCopy) {
   ScoreStore store(TestMatrix(8, 8));
-  for (std::size_t i = 0; i < 8; ++i) store.MutableRowPtr(i)[0] = 1.5;
+  for (std::size_t i = 0; i < 8; ++i) SetEntry(&store, i, 0, 1.5);
   EXPECT_EQ(store.stats().rows_copied, 0u);
   EXPECT_EQ(store.stats().bytes_copied, 0u);
   EXPECT_EQ(store(7, 0), 1.5);
@@ -77,9 +87,9 @@ TEST(ScoreStore, PublishThenWriteCopiesExactlyTouchedRows) {
   EXPECT_EQ(store.stats().publishes, 1u);
   EXPECT_EQ(store.stats().rows_copied, 0u);  // publishing copies nothing
 
-  store.MutableRowPtr(3)[5] = 42.0;
-  store.MutableRowPtr(3)[6] = 43.0;  // same row again: no second copy
-  store.MutableRowPtr(9)[0] = 44.0;
+  SetEntry(&store, 3, 5, 42.0);
+  SetEntry(&store, 3, 6, 43.0);  // same row again: no second copy
+  SetEntry(&store, 9, 0, 44.0);
   EXPECT_EQ(store.stats().rows_copied, 2u);
   EXPECT_EQ(store.stats().bytes_copied, 2u * n * sizeof(double));
 
@@ -105,7 +115,7 @@ TEST(ScoreStore, PinnedViewIsImmutableAcrossManyEpochs) {
     for (int w = 0; w < 5; ++w) {
       const auto i = static_cast<std::size_t>(rng.NextBounded(n));
       const auto j = static_cast<std::size_t>(rng.NextBounded(n));
-      store.MutableRowPtr(i)[j] = rng.NextDouble();
+      SetEntry(&store, i, j, rng.NextDouble());
     }
     ScoreStore::View latest = store.Publish();
     EXPECT_TRUE(BitwiseEqual(latest.ToDense(), store.ToDense()));
@@ -119,9 +129,9 @@ TEST(ScoreStore, MultiRowShardsCopyAtShardGranularity) {
   ScoreStore store(TestMatrix(n, n), /*rows_per_shard=*/4);
   EXPECT_EQ(store.rows_per_shard(), 4u);
   ScoreStore::View view = store.Publish();
-  store.MutableRowPtr(5)[0] = 1.0;  // shard {4,5,6,7}
+  SetEntry(&store, 5, 0, 1.0);  // shard {4,5,6,7}
   EXPECT_EQ(store.stats().rows_copied, 4u);
-  store.MutableRowPtr(9)[0] = 1.0;  // tail shard {8,9} has only 2 rows
+  SetEntry(&store, 9, 0, 1.0);  // tail shard {8,9} has only 2 rows
   EXPECT_EQ(store.stats().rows_copied, 6u);
   EXPECT_TRUE(BitwiseEqual(view.ToDense(), ScoreStore(TestMatrix(n, n))
                                                .ToDense()));
@@ -134,7 +144,7 @@ TEST(ScoreStore, AssignRebuildsGeometryAndOldViewsSurvive) {
 
   store.Assign(TestMatrix(8, 8, /*seed=*/99));
   EXPECT_EQ(store.rows(), 8u);
-  store.MutableRowPtr(7)[7] = -1.0;  // fresh shards are unshared: no copy
+  SetEntry(&store, 7, 7, -1.0);  // fresh shards are unshared: no copy
   EXPECT_EQ(store.stats().rows_copied, 0u);
 
   EXPECT_EQ(old_view.rows(), 6u);
@@ -163,34 +173,39 @@ std::vector<graph::EdgeUpdate> MixedStream(const graph::DynamicDiGraph& graph,
   return stream;
 }
 
-// Applies `stream` twice — once against a DenseMatrix, once against a
-// ScoreStore that publishes an epoch (and pins the view) after every
-// update to force maximal COW — and requires bitwise-identical results
-// after every single update.
-template <typename ApplyFn>
+// Applies `stream` to two stores built from the same batch solve: a
+// reference store that is never published (every write lands in place,
+// no COW), and a store that publishes an epoch (and pins the view) after
+// every update to force maximal COW. Each arm gets its own apply function
+// from `make_apply`, so engines keep separate scratch; the two must stay
+// bitwise identical after every single update.
+template <typename MakeApplyFn>
 void ExpectBitwiseEquivalence(const graph::DynamicDiGraph& graph,
                               const simrank::SimRankOptions& options,
                               const std::vector<graph::EdgeUpdate>& stream,
-                              ApplyFn&& apply) {
-  graph::DynamicDiGraph g_dense = graph;
+                              MakeApplyFn&& make_apply) {
+  auto apply_ref = make_apply();
+  auto apply_store = make_apply();
+  graph::DynamicDiGraph g_ref = graph;
   graph::DynamicDiGraph g_store = graph;
-  la::DynamicRowMatrix q_dense = graph::BuildTransition(g_dense);
+  la::DynamicRowMatrix q_ref = graph::BuildTransition(g_ref);
   la::DynamicRowMatrix q_store = graph::BuildTransition(g_store);
-  DenseMatrix s_dense = simrank::BatchMatrix(graph, options);
-  ScoreStore s_store((DenseMatrix(s_dense)));
+  ScoreStore s_ref{simrank::BatchMatrix(graph, options)};
+  ScoreStore s_store{s_ref.ToDense()};
 
   std::vector<ScoreStore::View> pinned;
   pinned.push_back(s_store.Publish());
   for (std::size_t k = 0; k < stream.size(); ++k) {
-    ASSERT_TRUE(apply(stream[k], &g_dense, &q_dense, &s_dense).ok())
-        << "dense path failed at update " << k;
-    ASSERT_TRUE(apply(stream[k], &g_store, &q_store, &s_store).ok())
-        << "store path failed at update " << k;
-    ASSERT_TRUE(BitwiseEqual(s_dense, s_store.ToDense()))
+    ASSERT_TRUE(apply_ref(stream[k], &g_ref, &q_ref, &s_ref).ok())
+        << "reference path failed at update " << k;
+    ASSERT_TRUE(apply_store(stream[k], &g_store, &q_store, &s_store).ok())
+        << "published path failed at update " << k;
+    ASSERT_TRUE(BitwiseEqual(s_ref.ToDense(), s_store.ToDense()))
         << "bitwise divergence after update " << k;
     pinned.push_back(s_store.Publish());  // force COW on the next update
   }
   EXPECT_GT(s_store.stats().rows_copied, 0u);
+  EXPECT_EQ(s_ref.stats().rows_copied, 0u);
 }
 
 simrank::SimRankOptions EngineOptions() {
@@ -206,19 +221,13 @@ TEST(ScoreStoreEngineEquivalence, IncSrUnitUpdatesAreBitwiseIdentical) {
   auto graph = graph::MaterializeGraph(20, stream_seed.value());
   auto updates = MixedStream(graph, 10, 6, 17);
 
-  core::IncSrEngine dense_engine(EngineOptions());
-  core::IncSrEngine store_engine(EngineOptions());
-  ExpectBitwiseEquivalence(
-      graph, EngineOptions(), updates,
-      [&](const graph::EdgeUpdate& u, graph::DynamicDiGraph* g,
-          la::DynamicRowMatrix* q, auto* s) {
-        if constexpr (std::is_same_v<std::remove_pointer_t<decltype(s)>,
-                                     DenseMatrix>) {
-          return dense_engine.ApplyUpdate(u, g, q, s);
-        } else {
-          return store_engine.ApplyUpdate(u, g, q, s);
-        }
-      });
+  ExpectBitwiseEquivalence(graph, EngineOptions(), updates, [] {
+    return [engine = core::IncSrEngine(EngineOptions())](
+               const graph::EdgeUpdate& u, graph::DynamicDiGraph* g,
+               la::DynamicRowMatrix* q, ScoreStore* s) mutable {
+      return engine.ApplyUpdate(u, g, q, s);
+    };
+  });
 }
 
 TEST(ScoreStoreEngineEquivalence, IncUsrUnitUpdatesAreBitwiseIdentical) {
@@ -227,12 +236,12 @@ TEST(ScoreStoreEngineEquivalence, IncUsrUnitUpdatesAreBitwiseIdentical) {
   auto graph = graph::MaterializeGraph(14, stream_seed.value());
   auto updates = MixedStream(graph, 6, 4, 23);
 
-  ExpectBitwiseEquivalence(
-      graph, EngineOptions(), updates,
-      [&](const graph::EdgeUpdate& u, graph::DynamicDiGraph* g,
-          la::DynamicRowMatrix* q, auto* s) {
-        return core::IncUsrApplyUpdate(u, EngineOptions(), g, q, s);
-      });
+  ExpectBitwiseEquivalence(graph, EngineOptions(), updates, [] {
+    return [](const graph::EdgeUpdate& u, graph::DynamicDiGraph* g,
+              la::DynamicRowMatrix* q, ScoreStore* s) {
+      return core::IncUsrApplyUpdate(u, EngineOptions(), g, q, s);
+    };
+  });
 }
 
 TEST(ScoreStoreEngineEquivalence, CoalescedBatchesAreBitwiseIdentical) {
@@ -241,18 +250,19 @@ TEST(ScoreStoreEngineEquivalence, CoalescedBatchesAreBitwiseIdentical) {
   auto graph = graph::MaterializeGraph(18, stream_seed.value());
   auto updates = MixedStream(graph, 12, 6, 29);
 
-  core::CoalescedBatchEngine dense_engine(EngineOptions());
+  core::CoalescedBatchEngine ref_engine(EngineOptions());
   core::CoalescedBatchEngine store_engine(EngineOptions());
 
-  graph::DynamicDiGraph g_dense = graph;
+  graph::DynamicDiGraph g_ref = graph;
   graph::DynamicDiGraph g_store = graph;
-  la::DynamicRowMatrix q_dense = graph::BuildTransition(g_dense);
+  la::DynamicRowMatrix q_ref = graph::BuildTransition(g_ref);
   la::DynamicRowMatrix q_store = graph::BuildTransition(g_store);
-  DenseMatrix s_dense = simrank::BatchMatrix(graph, EngineOptions());
-  ScoreStore s_store((DenseMatrix(s_dense)));
+  ScoreStore s_ref{simrank::BatchMatrix(graph, EngineOptions())};
+  ScoreStore s_store{s_ref.ToDense()};
 
   // Split the stream into three batches with a publish (pinned view)
-  // between them, as the serving layer would.
+  // between them, as the serving layer would; the reference is never
+  // published.
   std::vector<ScoreStore::View> pinned;
   const std::size_t third = updates.size() / 3;
   for (std::size_t part = 0; part < 3; ++part) {
@@ -260,21 +270,20 @@ TEST(ScoreStoreEngineEquivalence, CoalescedBatchesAreBitwiseIdentical) {
     const std::size_t hi = part == 2 ? updates.size() : lo + third;
     std::vector<graph::EdgeUpdate> batch(updates.begin() + lo,
                                          updates.begin() + hi);
-    ASSERT_TRUE(
-        dense_engine.ApplyBatch(batch, &g_dense, &q_dense, &s_dense).ok());
+    ASSERT_TRUE(ref_engine.ApplyBatch(batch, &g_ref, &q_ref, &s_ref).ok());
     ASSERT_TRUE(
         store_engine.ApplyBatch(batch, &g_store, &q_store, &s_store).ok());
     pinned.push_back(s_store.Publish());
-    ASSERT_TRUE(BitwiseEqual(s_dense, s_store.ToDense()))
+    ASSERT_TRUE(BitwiseEqual(s_ref.ToDense(), s_store.ToDense()))
         << "divergence after batch " << part;
   }
-  EXPECT_EQ(dense_engine.last_group_count(), store_engine.last_group_count());
+  EXPECT_EQ(ref_engine.last_group_count(), store_engine.last_group_count());
 }
 
 TEST(ScoreStoreEngineEquivalence, DynamicSimRankMatchesDenseReference) {
-  // End-to-end: the ScoreStore-backed index (with publishes interleaved)
-  // stays bitwise identical to a dense-matrix replica driven by the same
-  // engine, for every UpdateAlgorithm.
+  // End-to-end: the index (with publishes interleaved) stays bitwise
+  // identical to a never-published replica driven by the same engine, for
+  // every UpdateAlgorithm.
   auto stream_seed = graph::ErdosRenyiGnm(16, 44, 31);
   ASSERT_TRUE(stream_seed.ok());
   auto graph = graph::MaterializeGraph(16, stream_seed.value());
@@ -284,7 +293,7 @@ TEST(ScoreStoreEngineEquivalence, DynamicSimRankMatchesDenseReference) {
     auto index = core::DynamicSimRank::Create(graph, EngineOptions(),
                                               algorithm);
     ASSERT_TRUE(index.ok());
-    DenseMatrix s_ref = index->scores().ToDense();
+    ScoreStore s_ref{index->scores().ToDense()};
     graph::DynamicDiGraph g_ref = graph;
     la::DynamicRowMatrix q_ref = graph::BuildTransition(g_ref);
     core::IncSrEngine ref_engine(index->options());
@@ -301,8 +310,9 @@ TEST(ScoreStoreEngineEquivalence, DynamicSimRankMatchesDenseReference) {
                                             &q_ref, &s_ref)
                         .ok());
       }
-      ASSERT_TRUE(BitwiseEqual(index->scores().ToDense(), s_ref));
+      ASSERT_TRUE(BitwiseEqual(index->scores().ToDense(), s_ref.ToDense()));
     }
+    EXPECT_EQ(s_ref.stats().rows_copied, 0u);
   }
 }
 
@@ -357,7 +367,7 @@ TEST(ScoreStoreConcurrency, PinnedViewStaysByteStableUnderWriter) {
     for (int w = 0; w < 8; ++w) {
       const auto i = static_cast<std::size_t>(rng.NextBounded(n));
       const auto j = static_cast<std::size_t>(rng.NextBounded(n));
-      store.MutableRowPtr(i)[j] = rng.NextDouble();
+      SetEntry(&store, i, j, rng.NextDouble());
     }
     auto next = std::make_shared<const ScoreStore::View>(store.Publish());
     std::lock_guard<std::mutex> lock(mu);

@@ -123,6 +123,16 @@ TEST(SparseRowBlock, DensityGateRefusesIncompressibleRows) {
   EXPECT_FALSE(store.SparsifyRow(2, {}));
 }
 
+// Overwrites entry (i, j) through a one-row write session on the flat row:
+// a sparse row spills to dense (a counted write-path spill).
+void SetEntry(la::ScoreStore* store, std::size_t i, std::size_t j,
+              double value) {
+  la::RowWriter writer;
+  store->BeginWriteRow(i, &writer);
+  writer.Dense()[j] = value;
+  store->CommitWriteRow(&writer);
+}
+
 TEST(SparseRowBlock, ScaledIdentityIsSparseDirect) {
   const std::size_t n = 64;
   la::ScoreStore store = la::ScoreStore::ScaledIdentity(n, 0.4);
@@ -135,8 +145,8 @@ TEST(SparseRowBlock, ScaledIdentityIsSparseDirect) {
   }
   // One stored entry per row: payload nowhere near the dense slab.
   EXPECT_LT(store.payload_bytes(), n * n * sizeof(double) / 4);
-  // Densify-on-write keeps the content.
-  store.MutableRowPtr(5)[9] = 1.25;
+  // A flat-row write spills the row to dense and keeps the content.
+  SetEntry(&store, 5, 9, 1.25);
   EXPECT_FALSE(store.RowIsSparse(5));
   EXPECT_EQ(store(5, 5), 0.4);
   EXPECT_EQ(store(5, 9), 1.25);
@@ -393,7 +403,7 @@ TEST(TieredConcurrency, PinnedViewStaysByteStableUnderTierMigration) {
   Rng rng(55);
   for (int epoch = 0; epoch < 200; ++epoch) {
     // Tier churn + writes: every epoch demotes a band, promotes another,
-    // and writes through a third (densify-on-write).
+    // and writes a flat row through a third (a sparse row spills).
     for (std::size_t i = 0; i < n; ++i) {
       switch ((i + static_cast<std::size_t>(epoch)) % 3) {
         case 0:
@@ -402,8 +412,10 @@ TEST(TieredConcurrency, PinnedViewStaysByteStableUnderTierMigration) {
         case 1:
           store.DensifyRow(i);
           break;
-        default:
-          store.MutableRowPtr(i)[rng.NextBounded(n)] = rng.NextDouble();
+        default: {
+          const double value = rng.NextDouble();
+          SetEntry(&store, i, rng.NextBounded(n), value);
+        }
       }
     }
     auto next = std::make_shared<const la::ScoreStore::View>(store.Publish());
@@ -486,6 +498,57 @@ TEST(AdaptiveTopK, ServiceGrowsCapacityAfterFallback) {
   EXPECT_EQ(*second, core::TopKForOf(snapshot->scores, query, 8));
 }
 
+TEST(AdaptiveTopK, GrownCapacitySurvivesTwoBatchSplit) {
+  // The publish that grows a node also decays the read that earned the
+  // grow, so the node looks cold at the very next publish. Submit + Flush
+  // per update forces the stream into two batches (two publishes): the
+  // second publish's shrink sweep must not undo the grow before the node
+  // is queried again.
+  auto seed = graph::ErdosRenyiGnm(16, 40, 19);
+  ASSERT_TRUE(seed.ok());
+  auto graph = graph::MaterializeGraph(16, seed.value());
+  simrank::SimRankOptions sr;
+  sr.damping = 0.6;
+  sr.iterations = 8;
+  auto index = core::DynamicSimRank::Create(graph, sr);
+  ASSERT_TRUE(index.ok());
+  service::ServiceOptions options;
+  options.topk_index_capacity = 4;
+  options.adaptive_topk_index = true;
+  options.cache_capacity = 0;  // every query exercises the index path
+  auto service =
+      service::SimRankService::Create(std::move(index).value(), options);
+  ASSERT_TRUE(service.ok());
+
+  const graph::NodeId query = 3;
+  ASSERT_TRUE((*service)->TopKFor(query, 8).ok());
+  EXPECT_EQ((*service)->stats().topk_index_fallbacks, 1u);
+
+  const std::vector<graph::EdgeUpdate> stream = InsertStream(graph, 5, 29);
+  for (std::size_t k = 0; k < 2; ++k) {
+    ASSERT_TRUE((*service)->Submit(stream[k]).ok());
+    ASSERT_TRUE((*service)->Flush().ok());
+  }
+  EXPECT_EQ((*service)->stats().epoch, 2u);  // the split really happened
+  EXPECT_EQ((*service)->stats().topk_cap_grows, 1u);
+  EXPECT_EQ((*service)->stats().topk_cap_shrinks, 0u);
+
+  auto second = (*service)->TopKFor(query, 8);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ((*service)->stats().topk_index_served, 1u);
+  EXPECT_EQ((*service)->stats().topk_index_fallbacks, 1u);  // unchanged
+  EXPECT_EQ(*second,
+            core::TopKForOf((*service)->Snapshot()->scores, query, 8));
+
+  // Once the residency has passed and the node's reads have decayed, the
+  // shrink sweep still returns it to the base capacity.
+  for (std::size_t k = 2; k < stream.size(); ++k) {
+    ASSERT_TRUE((*service)->Submit(stream[k]).ok());
+    ASSERT_TRUE((*service)->Flush().ok());
+  }
+  EXPECT_EQ((*service)->stats().topk_cap_shrinks, 1u);
+}
+
 // ---- CreateIsolated --------------------------------------------------------
 
 TEST(CreateIsolated, MatchesDenseCreateBeforeAndAfterInserts) {
@@ -505,7 +568,8 @@ TEST(CreateIsolated, MatchesDenseCreateBeforeAndAfterInserts) {
               1.0 - sr.damping);
   }
 
-  // Same kernels, same bytes once structure grows (rows densify on write).
+  // Same kernels, same bytes once structure grows (written rows stay
+  // sparse until they pass the density gate).
   const graph::Edge edges[] = {{0, 1}, {2, 1}, {3, 1}, {0, 4}, {5, 4}, {2, 6}};
   for (const graph::Edge& e : edges) {
     ASSERT_TRUE(isolated->InsertEdge(e.src, e.dst).ok());

@@ -151,6 +151,7 @@ TEST(Theorems23, SeedReproducesTMatrix) {
   DynamicDiGraph g = RandomGraph(14, 40, 77);
   SimRankOptions options = Converged();
   la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  const la::ScoreStore store{la::DenseMatrix(s)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
 
   Rng rng(78);
@@ -165,7 +166,7 @@ TEST(Theorems23, SeedReproducesTMatrix) {
       ASSERT_TRUE(ins.ok());
       update = ins.value()[0];
     }
-    auto seed = ComputeUpdateSeed(q, s, update, options);
+    auto seed = ComputeUpdateSeed(q, store, update, options);
     ASSERT_TRUE(seed.ok()) << graph::ToString(update);
 
     // Brute-force w from the definitions.
@@ -191,13 +192,14 @@ TEST(Theorems23, DeltaSolvesRankOneSylvesterEquation) {
   DynamicDiGraph g = RandomGraph(10, 24, 55);
   SimRankOptions options = Converged();
   la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  const la::ScoreStore store{la::DenseMatrix(s)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   EdgeUpdate update{UpdateKind::kInsert, 1, 0};
   if (g.HasEdge(1, 0)) update = {UpdateKind::kDelete, 1, 0};
 
-  auto seed = ComputeUpdateSeed(q, s, update, options);
+  auto seed = ComputeUpdateSeed(q, store, update, options);
   ASSERT_TRUE(seed.ok());
-  auto delta = IncUsrDelta(q, s, update, options);
+  auto delta = IncUsrDelta(q, store, update, options);
   ASSERT_TRUE(delta.ok());
 
   // Build Q̃ and T densely.
@@ -234,8 +236,8 @@ TEST(Theorem4, UntouchedPairsAreExactlyUnchanged) {
     INCSR_CHECK(g.AddEdge(s, d).ok(), "edge");
   }
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
-  la::DenseMatrix s_before = s;
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
+  const la::DenseMatrix s_before = s.ToDense();
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   IncSrEngine engine(options);
 
@@ -267,10 +269,9 @@ TEST(Theorem4, AffectedAreaShrinksWithLocality) {
   DynamicDiGraph g = graph::MaterializeGraph(60, stream.value());
   SimRankOptions options;
   options.iterations = 10;
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   IncSrEngine engine(options);
-  la::DenseMatrix s_work = s;
+  la::ScoreStore s_work{simrank::BatchMatrix(g, options)};
   Rng rng(4);
   auto insertion = graph::SampleInsertions(g, 1, &rng);
   ASSERT_TRUE(insertion.ok());
@@ -284,7 +285,7 @@ TEST(Theorem4, AffectedAreaShrinksWithLocality) {
 TEST(UpdateSeed, InvalidUpdatesAreRejectedWithContext) {
   DynamicDiGraph g = RandomGraph(8, 16, 21);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
 
   auto edges = g.Edges();
@@ -306,7 +307,7 @@ TEST(UpdateSeed, InvalidUpdatesAreRejectedWithContext) {
 TEST(SelfLoops, IncrementalHandlesSelfLoopInsertion) {
   DynamicDiGraph g = RandomGraph(8, 18, 31);
   SimRankOptions options = Converged();
-  la::DenseMatrix s = simrank::BatchMatrix(g, options);
+  la::ScoreStore s{simrank::BatchMatrix(g, options)};
   la::DynamicRowMatrix q = graph::BuildTransition(g);
   ASSERT_FALSE(g.HasEdge(3, 3));
   ASSERT_TRUE(
