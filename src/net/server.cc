@@ -627,6 +627,7 @@ void IncSrServer::HandleSubscribe(Connection* conn, std::string_view body) {
       message.EncodeBody(&batch_body);
       conn->out +=
           wire::EncodeFrame(wire::MessageTag::kReplicaBatch, batch_body);
+      ++hub_->batches_streamed;
     }
   }
 }

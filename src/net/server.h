@@ -67,7 +67,8 @@ struct ServerStats {
   /// Frames that violated the protocol: bad length prefix (closes the
   /// connection) or bad version/tag/body (answered with kErrorResponse).
   std::uint64_t protocol_errors = 0;
-  /// Replica batches fanned out across all subscribers.
+  /// Replica batches fanned out across all subscribers: live batches
+  /// plus the backlog catch-up frames queued when a replica subscribes.
   std::uint64_t batches_streamed = 0;
   std::size_t active_connections = 0;
   std::size_t active_subscribers = 0;

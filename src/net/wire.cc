@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include <type_traits>
+
 #include "obs/histogram.h"
 
 namespace incsr::net::wire {
@@ -384,11 +386,11 @@ bool SuggestResponse::DecodeBody(std::string_view body, SuggestResponse* out) {
 
 namespace {
 
-// Sparse histogram encoding (wire v4): sum, min, max, then only the
-// non-zero buckets as (u8 index, u64 count) pairs in strictly increasing
-// index order. `count` is not sent — the snapshot invariant count ==
-// Σ buckets makes it derivable, and deriving it keeps the two from ever
-// disagreeing on the wire.
+// Sparse histogram encoding: sum, min, max, then only the non-zero
+// buckets as (u8 index, u64 count) pairs in strictly increasing index
+// order. `count` is not sent — the snapshot invariant count == Σ buckets
+// makes it derivable, and deriving it keeps the two from ever disagreeing
+// on the wire.
 void EncodeHistogram(Writer* writer, const obs::HistogramSnapshot& hist) {
   writer->U64(hist.sum);
   writer->U64(hist.min);
@@ -429,93 +431,60 @@ bool DecodeHistogram(Reader* reader, obs::HistogramSnapshot* out) {
   return true;
 }
 
+// One ServiceStats metric on the wire, by field type: f64 bits, a sparse
+// histogram, or a u64 counter.
+template <typename T>
+void EncodeMetric(Writer* writer, const T& value) {
+  if constexpr (std::is_same_v<T, double>) {
+    writer->F64(value);
+  } else if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+    EncodeHistogram(writer, value);
+  } else {
+    writer->U64(static_cast<std::uint64_t>(value));
+  }
+}
+
+template <typename T>
+bool DecodeMetric(Reader* reader, T* value) {
+  if constexpr (std::is_same_v<T, double>) {
+    return reader->F64(value);
+  } else if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+    return DecodeHistogram(reader, value);
+  } else {
+    std::uint64_t raw;
+    if (!reader->U64(&raw)) return false;
+    *value = static_cast<T>(raw);
+    return true;
+  }
+}
+
 }  // namespace
 
 void StatsResponse::EncodeBody(std::string* out) const {
   Writer writer(out);
   writer.U8(static_cast<std::uint8_t>(status));
-  writer.U64(stats.epoch);
-  writer.U64(stats.submitted);
-  writer.U64(stats.applied);
-  writer.U64(stats.rejected);
-  writer.U64(stats.failed);
-  writer.U64(stats.batches);
-  writer.U64(stats.queue_depth);
-  writer.U64(stats.rows_published);
-  writer.U64(stats.bytes_published);
-  writer.U64(stats.topk_index_served);
-  writer.U64(stats.topk_index_fallbacks);
-  writer.U64(stats.topk_index_rows_reranked);
-  writer.U64(stats.topk_pairs_served);
-  writer.U64(stats.topk_pairs_fallbacks);
-  writer.U64(stats.cache.hits);
-  writer.U64(stats.cache.misses);
-  writer.U64(stats.cache.invalidations);
-  writer.U64(stats.cache.evictions);
-  writer.U64(stats.cache.stale_inserts);
   writer.U64(num_nodes);
   writer.U64(num_edges);
   writer.U8(is_replica ? 1 : 0);
-  // v3 tail: tiered storage, graph COW, adaptive top-k capacities. New
-  // fields append strictly at the end so a frame's layout is a function
-  // of its version alone.
-  writer.U64(stats.rows_sparse);
-  writer.U64(stats.rows_dense);
-  writer.U64(stats.bytes_saved);
-  writer.U64(stats.sparse_eps_drops);
-  writer.F64(stats.sparse_max_error_bound);
-  writer.U64(stats.tier_demotions);
-  writer.U64(stats.tier_promotions);
-  writer.U64(stats.graph_bytes_copied);
-  writer.U64(stats.topk_cap_grows);
-  writer.U64(stats.topk_cap_shrinks);
-  // v4 tail: server-side latency histograms.
-  EncodeHistogram(&writer, stats.queue_wait_ns);
-  EncodeHistogram(&writer, stats.apply_ns);
-  // v5 tail: sparse-native write-path counters.
-  writer.U64(stats.rows_spilled_dense);
-  writer.U64(stats.sparse_write_merges);
+  service::ForEachServiceMetric(
+      [&](const char*, service::MetricRule, const auto& value) {
+        EncodeMetric(&writer, value);
+      },
+      stats);
 }
 
 bool StatsResponse::DecodeBody(std::string_view body, StatsResponse* out) {
   Reader reader(body);
-  std::uint64_t queue_depth;
-  std::uint8_t is_replica;
-  const bool ok =
-      DecodeRpcStatus(&reader, &out->status) && reader.U64(&out->stats.epoch) &&
-      reader.U64(&out->stats.submitted) && reader.U64(&out->stats.applied) &&
-      reader.U64(&out->stats.rejected) && reader.U64(&out->stats.failed) &&
-      reader.U64(&out->stats.batches) && reader.U64(&queue_depth) &&
-      reader.U64(&out->stats.rows_published) &&
-      reader.U64(&out->stats.bytes_published) &&
-      reader.U64(&out->stats.topk_index_served) &&
-      reader.U64(&out->stats.topk_index_fallbacks) &&
-      reader.U64(&out->stats.topk_index_rows_reranked) &&
-      reader.U64(&out->stats.topk_pairs_served) &&
-      reader.U64(&out->stats.topk_pairs_fallbacks) &&
-      reader.U64(&out->stats.cache.hits) &&
-      reader.U64(&out->stats.cache.misses) &&
-      reader.U64(&out->stats.cache.invalidations) &&
-      reader.U64(&out->stats.cache.evictions) &&
-      reader.U64(&out->stats.cache.stale_inserts) &&
-      reader.U64(&out->num_nodes) && reader.U64(&out->num_edges) &&
-      reader.U8(&is_replica) && is_replica <= 1 &&
-      reader.U64(&out->stats.rows_sparse) &&
-      reader.U64(&out->stats.rows_dense) &&
-      reader.U64(&out->stats.bytes_saved) &&
-      reader.U64(&out->stats.sparse_eps_drops) &&
-      reader.F64(&out->stats.sparse_max_error_bound) &&
-      reader.U64(&out->stats.tier_demotions) &&
-      reader.U64(&out->stats.tier_promotions) &&
-      reader.U64(&out->stats.graph_bytes_copied) &&
-      reader.U64(&out->stats.topk_cap_grows) &&
-      reader.U64(&out->stats.topk_cap_shrinks) &&
-      DecodeHistogram(&reader, &out->stats.queue_wait_ns) &&
-      DecodeHistogram(&reader, &out->stats.apply_ns) &&
-      reader.U64(&out->stats.rows_spilled_dense) &&
-      reader.U64(&out->stats.sparse_write_merges) && reader.Complete();
-  if (!ok) return false;
-  out->stats.queue_depth = static_cast<std::size_t>(queue_depth);
+  std::uint8_t is_replica = 0;
+  bool ok = DecodeRpcStatus(&reader, &out->status) &&
+            reader.U64(&out->num_nodes) && reader.U64(&out->num_edges) &&
+            reader.U8(&is_replica) && is_replica <= 1;
+  service::ForEachServiceMetric(
+      [&](const char*, service::MetricRule, auto& value) {
+        ok = ok && DecodeMetric(&reader, &value);
+      },
+      out->stats);
+  if (!ok || !reader.Complete()) return false;
   out->is_replica = is_replica == 1;
   return true;
 }

@@ -38,20 +38,10 @@
 namespace incsr::net::wire {
 
 /// Protocol version carried in every frame; peers reject mismatches.
-/// v2: StatsResponse carries the pair-merge counters
-/// (topk_pairs_served / topk_pairs_fallbacks).
-/// v3: StatsResponse carries the tiered-storage block (rows_sparse /
-/// rows_dense / bytes_saved / sparse_eps_drops / sparse_max_error_bound /
-/// tier_demotions / tier_promotions), graph_bytes_copied, and the
-/// adaptive top-k capacity counters (topk_cap_grows / topk_cap_shrinks).
-/// v4: StatsResponse carries the server-side latency histograms
-/// (queue_wait_ns / apply_ns, obs::HistogramSnapshot) sparsely encoded:
-/// sum, min, max, then only the non-zero buckets as (u8 index, u64
-/// count) pairs with strictly increasing indices; `count` is derived on
-/// decode as the bucket sum. Shard aggregators merge these bucket-wise.
-/// v5: StatsResponse carries the sparse-native write-path counters
-/// (rows_spilled_dense / sparse_write_merges).
-inline constexpr std::uint8_t kWireVersion = 5;
+/// Versions 2–5 grew the StatsResponse body one appended tail at a time;
+/// v6 derives it from service::ForEachServiceMetric, so adding, removing
+/// or reordering a listed metric changes the layout and must bump this.
+inline constexpr std::uint8_t kWireVersion = 6;
 /// Bytes of the length prefix.
 inline constexpr std::size_t kFramePrefixBytes = 4;
 /// Maximum frame payload (version + tag + body) a peer may announce.
@@ -310,8 +300,12 @@ struct SuggestResponse {
   static bool DecodeBody(std::string_view body, SuggestResponse* out);
 };
 
-/// kStatsResponse: the service's ServiceStats plus serving-tier facts the
-/// client needs (graph shape, replica role and applied sequence).
+/// kStatsResponse: serving-tier facts the client needs (graph shape,
+/// replica role), then every ServiceStats metric in
+/// service::ForEachServiceMetric order: u64 counters, f64 bits, and
+/// histograms in their sparse canonical encoding. Positional, not
+/// name-keyed: both peers compile the same list and the version byte
+/// rejects skew.
 struct StatsResponse {
   RpcStatus status = RpcStatus::kOk;
   service::ServiceStats stats;

@@ -97,7 +97,8 @@ enum class EventId : std::uint16_t {
   /// Counter: dense row demoted to the sparse tier; value = payload bytes
   /// after sparsification.
   kStoreTierDemote = 19,
-  /// Counter: sparse row promoted (or densified-on-write) back to dense.
+  /// Counter: sparse row promoted back to dense by the tier policy
+  /// (write-path densification is kStoreWriteSpill).
   kStoreTierPromote = 20,
 
   // ---- network server (net/server.cc) ----

@@ -38,17 +38,6 @@ struct QueryCacheStats {
   std::uint64_t evictions = 0;
   /// Inserts dropped because a newer epoch was published mid-compute.
   std::uint64_t stale_inserts = 0;
-
-  /// Field-wise sum — the sharded layer aggregates per-shard counters.
-  /// Keep in sync with the fields above (new counters belong here too).
-  QueryCacheStats& operator+=(const QueryCacheStats& other) {
-    hits += other.hits;
-    misses += other.misses;
-    invalidations += other.invalidations;
-    evictions += other.evictions;
-    stale_inserts += other.stale_inserts;
-    return *this;
-  }
 };
 
 /// LRU cache of TopKFor results (plus a single memoized TopKPairs entry),

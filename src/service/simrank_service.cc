@@ -1,5 +1,7 @@
 #include "service/simrank_service.h"
 
+#include <cstdio>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -7,6 +9,65 @@
 #include "obs/trace.h"
 
 namespace incsr::service {
+
+namespace {
+
+// Every ServiceStats byte belongs to a listed field: a field added to the
+// struct but not to ForEachServiceMetric fails this check at compile time.
+constexpr std::size_t ListedServiceStatsBytes() {
+  ServiceStats stats;
+  std::size_t bytes = 0;
+  ForEachServiceMetric(
+      [&](const char*, MetricRule, const auto& value) {
+        bytes += sizeof value;
+      },
+      stats);
+  return bytes;
+}
+static_assert(ListedServiceStatsBytes() == sizeof(ServiceStats),
+              "every ServiceStats field must appear in ForEachServiceMetric");
+
+}  // namespace
+
+ServiceStats& ServiceStats::operator+=(const ServiceStats& other) {
+  ForEachServiceMetric(
+      [](const char*, MetricRule rule, auto& mine, const auto& theirs) {
+        if constexpr (std::is_arithmetic_v<std::decay_t<decltype(mine)>>) {
+          mine = rule == MetricRule::kMax ? std::max(mine, theirs)
+                                          : mine + theirs;
+        } else {
+          mine += theirs;  // HistogramSnapshot: bucket-wise merge
+        }
+      },
+      *this, other);
+  return *this;
+}
+
+std::string FormatServiceStats(const ServiceStats& stats) {
+  std::string out;
+  char line[512];
+  ForEachServiceMetric(
+      [&](const char* name, MetricRule, const auto& value) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+          std::snprintf(line, sizeof line,
+                        "%s.p50 %.0f\n%s.p99 %.0f\n%s.mean %.0f\n"
+                        "%s.max %llu\n%s.count %llu\n",
+                        name, value.Percentile(0.5), name,
+                        value.Percentile(0.99), name, value.Mean(), name,
+                        static_cast<unsigned long long>(value.max), name,
+                        static_cast<unsigned long long>(value.count));
+        } else if constexpr (std::is_floating_point_v<T>) {
+          std::snprintf(line, sizeof line, "%s %.6g\n", name, value);
+        } else {
+          std::snprintf(line, sizeof line, "%s %llu\n", name,
+                        static_cast<unsigned long long>(value));
+        }
+        out += line;
+      },
+      stats);
+  return out;
+}
 
 Result<std::unique_ptr<SimRankService>> SimRankService::Create(
     core::DynamicSimRank index, const ServiceOptions& options) {
@@ -52,7 +113,6 @@ SimRankService::SimRankService(core::DynamicSimRank index,
     index_.mutable_score_store()->set_sparsity(config);
   }
   auto initial = std::make_shared<EpochSnapshot>();
-  initial->epoch = 0;
   // Initial tier pass BEFORE the first publish and index build: with no
   // traffic yet every row is cold, so a dense-built store starts at the
   // policy's chosen mix, and the index below ranks the post-demotion
@@ -66,10 +126,7 @@ SimRankService::SimRankService(core::DynamicSimRank index,
   // epoch re-ranks only the rows its batch touched.
   topk_index_.RebuildAll(index_.scores());
   initial->topk = topk_index_.Publish();
-  topk_rows_reranked_.store(topk_index_.rows_reranked(),
-                            std::memory_order_relaxed);
-  MirrorStorageCounters();
-  snapshot_ = std::move(initial);
+  SwapSnapshot(std::move(initial));
   // A replica has no ingest pipeline: its state advances only through
   // ApplyReplicated, synchronously on the replication stream's thread.
   if (!replica_) {
@@ -248,42 +305,23 @@ std::vector<core::ScoredPair> SimRankService::TopKPairs(std::size_t k) const {
 ServiceStats SimRankService::stats() const {
   ServiceStats out;
   {
+    // The applier's block as published with the current epoch (epoch
+    // included). Read before `submitted`, so applied + failed never
+    // exceeds it.
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    out = published_stats_;
+  }
+  {
     std::lock_guard<std::mutex> lock(mu_);
     out.submitted = accepted_;
     out.queue_depth = queue_.size();
   }
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    out.epoch = snapshot_->epoch;
-  }
-  out.applied = applied_.load(std::memory_order_relaxed);
   out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.failed = failed_.load(std::memory_order_relaxed);
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.rows_published = rows_published_.load(std::memory_order_relaxed);
-  out.bytes_published = bytes_published_.load(std::memory_order_relaxed);
   out.topk_index_served = topk_served_.load(std::memory_order_relaxed);
   out.topk_index_fallbacks = topk_fallbacks_.load(std::memory_order_relaxed);
-  out.topk_index_rows_reranked =
-      topk_rows_reranked_.load(std::memory_order_relaxed);
   out.topk_pairs_served = topk_pairs_served_.load(std::memory_order_relaxed);
   out.topk_pairs_fallbacks =
       topk_pairs_fallbacks_.load(std::memory_order_relaxed);
-  out.rows_sparse = rows_sparse_.load(std::memory_order_relaxed);
-  out.rows_dense = rows_dense_.load(std::memory_order_relaxed);
-  out.bytes_saved = bytes_saved_.load(std::memory_order_relaxed);
-  out.sparse_eps_drops = sparse_eps_drops_.load(std::memory_order_relaxed);
-  out.sparse_max_error_bound =
-      sparse_max_error_bound_.load(std::memory_order_relaxed);
-  out.tier_demotions = tier_demotions_.load(std::memory_order_relaxed);
-  out.tier_promotions = tier_promotions_.load(std::memory_order_relaxed);
-  out.rows_spilled_dense =
-      rows_spilled_dense_.load(std::memory_order_relaxed);
-  out.sparse_write_merges =
-      sparse_write_merges_.load(std::memory_order_relaxed);
-  out.graph_bytes_copied = graph_bytes_copied_.load(std::memory_order_relaxed);
-  out.topk_cap_grows = topk_cap_grows_.load(std::memory_order_relaxed);
-  out.topk_cap_shrinks = topk_cap_shrinks_.load(std::memory_order_relaxed);
   out.queue_wait_ns = queue_wait_hist_.snapshot();
   out.apply_ns = apply_hist_.snapshot();
   out.cache = cache_.stats();
@@ -351,7 +389,7 @@ void SimRankService::ApplyAndPublish(
     const graph::DynamicDiGraph& current = index_.graph();
     for (const graph::EdgeUpdate& update : batch) {
       if (!current.HasNode(update.src) || !current.HasNode(update.dst)) {
-        failed_.fetch_add(1, std::memory_order_relaxed);
+        ++applier_stats_.failed;
         continue;
       }
       const std::uint64_t key = graph::EdgeKey(update.src, update.dst);
@@ -361,7 +399,7 @@ void SimRankService::ApplyAndPublish(
                                : current.HasEdge(update.src, update.dst);
       const bool want_insert = update.kind == graph::UpdateKind::kInsert;
       if (present == want_insert) {
-        failed_.fetch_add(1, std::memory_order_relaxed);
+        ++applier_stats_.failed;
         continue;
       }
       overlay[key] = want_insert;
@@ -376,7 +414,7 @@ void SimRankService::ApplyAndPublish(
             ? index_.ApplyBatchCoalesced(valid)
             : index_.ApplyBatch(valid);
     if (applied.ok()) {
-      applied_.fetch_add(valid.size(), std::memory_order_relaxed);
+      applier_stats_.applied += valid.size();
     } else {
       // Should be unreachable after pre-validation; recover by re-driving
       // the batch unit-by-unit (idempotent per edge: an update the
@@ -386,14 +424,14 @@ void SimRankService::ApplyAndPublish(
       for (const graph::EdgeUpdate& update : valid) {
         Status unit = index_.ApplyUpdate(update);
         if (unit.ok()) {
-          applied_.fetch_add(1, std::memory_order_relaxed);
+          ++applier_stats_.applied;
         } else {
-          failed_.fetch_add(1, std::memory_order_relaxed);
+          ++applier_stats_.failed;
         }
       }
     }
   }
-  batches_.fetch_add(1, std::memory_order_relaxed);
+  ++applier_stats_.batches;
   const std::uint64_t epoch = Publish();
   apply_hist_.Record(obs::Tracer::NowNs() - apply_start_ns);
   TRACE_INSTANT(kEpochPublished, epoch, valid.size());
@@ -459,17 +497,8 @@ std::uint64_t SimRankService::Publish() {
       topk_index_.RebuildRows(index_.scores(), touched);
     }
     next->topk = topk_index_.Publish();
-    topk_rows_reranked_.store(topk_index_.rows_reranked(),
-                              std::memory_order_relaxed);
   }
-  MirrorStorageCounters();
-  std::uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    epoch = snapshot_->epoch + 1;
-    next->epoch = epoch;
-    snapshot_ = std::move(next);
-  }
+  const std::uint64_t epoch = SwapSnapshot(std::move(next));
   // Invalidate after the swap: a reader that cached from the outgoing
   // snapshot either had its node erased here or (if it inserts later) is
   // rejected by the cache's epoch admission check.
@@ -504,7 +533,7 @@ void SimRankService::ApplyTierPolicy(bool all_touched) {
       keep_cols_.push_back(item.b);
     }
     if (store->SparsifyRow(row, keep_cols_)) {
-      tier_demotions_.fetch_add(1, std::memory_order_relaxed);
+      ++applier_stats_.tier_demotions;
     }
   };
   if (all_touched) {
@@ -533,7 +562,7 @@ void SimRankService::ApplyTierPolicy(bool all_touched) {
       if (sketch_.Count(static_cast<graph::NodeId>(row)) >=
               policy.promote_reads &&
           store->DensifyRow(row)) {
-        tier_promotions_.fetch_add(1, std::memory_order_relaxed);
+        ++applier_stats_.tier_promotions;
       }
     } else {
       consider_demote(row);
@@ -565,7 +594,7 @@ void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
     if (row >= n) continue;
     const std::size_t current = topk_index_.NodeCapacity(row);
     if (topk_index_.SetNodeCapacity(row, current * 2) > current) {
-      topk_cap_grows_.fetch_add(1, std::memory_order_relaxed);
+      ++applier_stats_.topk_cap_grows;
       rerank->push_back(static_cast<std::int32_t>(row));
       grown_at_publish_[row] = publish;
     }
@@ -586,29 +615,33 @@ void SimRankService::AdaptTopKCapacities(std::vector<std::int32_t>* rerank) {
     if (sketch_.Count(static_cast<graph::NodeId>(row)) > 0) continue;
     const std::size_t target = std::max(topk_index_.capacity(), current / 2);
     if (topk_index_.SetNodeCapacity(row, target) < current) {
-      topk_cap_shrinks_.fetch_add(1, std::memory_order_relaxed);
+      ++applier_stats_.topk_cap_shrinks;
     }
   }
 }
 
-void SimRankService::MirrorStorageCounters() {
+std::uint64_t SimRankService::SwapSnapshot(
+    std::shared_ptr<EpochSnapshot> next) {
   const la::ScoreStore& store = index_.scores();
-  const la::ScoreStoreStats& stats = store.stats();
-  rows_published_.store(stats.rows_copied, std::memory_order_relaxed);
-  bytes_published_.store(stats.bytes_copied, std::memory_order_relaxed);
-  rows_sparse_.store(stats.rows_sparse, std::memory_order_relaxed);
-  rows_dense_.store(store.rows() - stats.rows_sparse,
-                    std::memory_order_relaxed);
-  bytes_saved_.store(store.bytes_saved(), std::memory_order_relaxed);
-  sparse_eps_drops_.store(stats.eps_drops, std::memory_order_relaxed);
-  sparse_max_error_bound_.store(stats.max_error_bound,
-                                std::memory_order_relaxed);
-  rows_spilled_dense_.store(stats.rows_spilled_dense,
-                            std::memory_order_relaxed);
-  sparse_write_merges_.store(stats.sparse_write_merges,
-                             std::memory_order_relaxed);
-  graph_bytes_copied_.store(index_.graph().cow_bytes_copied(),
-                            std::memory_order_relaxed);
+  const la::ScoreStoreStats& accounting = store.stats();
+  ServiceStats& s = applier_stats_;
+  s.rows_published = accounting.rows_copied;
+  s.bytes_published = accounting.bytes_copied;
+  s.topk_index_rows_reranked = topk_index_.rows_reranked();
+  s.rows_sparse = accounting.rows_sparse;
+  s.rows_dense = store.rows() - accounting.rows_sparse;
+  s.bytes_saved = store.bytes_saved();
+  s.sparse_eps_drops = accounting.eps_drops;
+  s.sparse_max_error_bound = accounting.max_error_bound;
+  s.rows_spilled_dense = accounting.rows_spilled_dense;
+  s.sparse_write_merges = accounting.sparse_write_merges;
+  s.graph_bytes_copied = index_.graph().cow_bytes_copied();
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  s.epoch = snapshot_ == nullptr ? 0 : snapshot_->epoch + 1;
+  next->epoch = s.epoch;
+  snapshot_ = std::move(next);
+  published_stats_ = s;
+  return s.epoch;
 }
 
 }  // namespace incsr::service

@@ -51,6 +51,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -234,13 +235,12 @@ struct ServiceStats {
   double sparse_max_error_bound = 0.0;
   std::uint64_t tier_demotions = 0;
   std::uint64_t tier_promotions = 0;
-  /// Sparse-native write path (la::ScoreStore RowWriter sessions):
-  /// rows_spilled_dense counts sparse rows the WRITE path densified
-  /// (Dense() spills, merges past the max_density gate) — on a
-  /// mostly-sparse store this stays near zero, which is the point;
-  /// sparse_write_merges counts batch writes that committed as an in-tier
-  /// sparse index-merge instead.
+  /// Sparse-native write path (la::ScoreStore RowWriter sessions): sparse
+  /// rows the WRITE path densified (Dense() spills, merges past the
+  /// max_density gate). On a mostly-sparse store this stays near zero,
+  /// which is the point.
   std::uint64_t rows_spilled_dense = 0;
+  /// Batch writes that committed as an in-tier sparse index-merge instead.
   std::uint64_t sparse_write_merges = 0;
   /// Adjacency bytes copy-on-written so published graph views stay
   /// byte-stable — the true incremental cost of the per-epoch graph
@@ -254,55 +254,74 @@ struct ServiceStats {
   /// queue_wait_ns: per-update time from Submit's enqueue to the applier
   /// draining it — the ingest backlog the client cannot see from its own
   /// round-trip timing. apply_ns: per-batch ApplyAndPublish wall time
-  /// (validate + kernels + publish). Both travel through the wire v4
-  /// StatsResponse tail and merge bucket-wise across shards.
+  /// (validate + kernels + publish).
   obs::HistogramSnapshot queue_wait_ns;
   obs::HistogramSnapshot apply_ns;
   QueryCacheStats cache;
 
   /// Aggregation the sharded layer (src/shard/) uses over live and
-  /// retired shards. Counters sum field-wise; `epoch` aggregates as MAX,
-  /// because epochs are independent per-shard sequence numbers whose sum
-  /// is meaningless (per-shard epochs stay visible in
-  /// ShardedStats::per_shard). Keep in sync with the fields above: a new
-  /// counter that is not added here silently vanishes from the sharded
-  /// totals.
-  ServiceStats& operator+=(const ServiceStats& other) {
-    epoch = std::max(epoch, other.epoch);
-    submitted += other.submitted;
-    applied += other.applied;
-    rejected += other.rejected;
-    failed += other.failed;
-    batches += other.batches;
-    queue_depth += other.queue_depth;
-    rows_published += other.rows_published;
-    bytes_published += other.bytes_published;
-    topk_index_served += other.topk_index_served;
-    topk_index_fallbacks += other.topk_index_fallbacks;
-    topk_index_rows_reranked += other.topk_index_rows_reranked;
-    topk_pairs_served += other.topk_pairs_served;
-    topk_pairs_fallbacks += other.topk_pairs_fallbacks;
-    rows_sparse += other.rows_sparse;
-    rows_dense += other.rows_dense;
-    bytes_saved += other.bytes_saved;
-    sparse_eps_drops += other.sparse_eps_drops;
-    // A bound that holds per shard holds for the union at the worst
-    // shard's value — error bounds aggregate as MAX, not sum.
-    sparse_max_error_bound =
-        std::max(sparse_max_error_bound, other.sparse_max_error_bound);
-    tier_demotions += other.tier_demotions;
-    tier_promotions += other.tier_promotions;
-    rows_spilled_dense += other.rows_spilled_dense;
-    sparse_write_merges += other.sparse_write_merges;
-    graph_bytes_copied += other.graph_bytes_copied;
-    topk_cap_grows += other.topk_cap_grows;
-    topk_cap_shrinks += other.topk_cap_shrinks;
-    queue_wait_ns += other.queue_wait_ns;
-    apply_ns += other.apply_ns;
-    cache += other.cache;
-    return *this;
-  }
+  /// retired shards: each metric combines by its ForEachServiceMetric
+  /// rule.
+  ServiceStats& operator+=(const ServiceStats& other);
 };
+
+/// How a metric combines across shards (ServiceStats::operator+=).
+enum class MetricRule {
+  kSum,    ///< counters and tier gauges add up over disjoint shards
+  kMax,    ///< per-shard sequences and bounds: the worst shard's value
+  kMerge,  ///< histograms: exact bucket-wise merge
+};
+
+/// The one list of service metrics: calls `f(name, rule, field...)` once
+/// per ServiceStats field, in a fixed order, passing the same field of
+/// every `stats` argument. One struct drives the wire body and the text
+/// dump; two drive operator+=. `name` is the field path ("cache.hits").
+/// `epoch` is a MAX because epochs are independent per-shard sequence
+/// numbers whose sum is meaningless (per-shard epochs stay visible in
+/// ShardedStats::per_shard); an error bound that holds per shard holds
+/// for the union at the worst shard's value.
+template <class F, class... S>
+constexpr void ForEachServiceMetric(F&& f, S&... stats) {
+  f("epoch", MetricRule::kMax, stats.epoch...);
+  f("submitted", MetricRule::kSum, stats.submitted...);
+  f("applied", MetricRule::kSum, stats.applied...);
+  f("rejected", MetricRule::kSum, stats.rejected...);
+  f("failed", MetricRule::kSum, stats.failed...);
+  f("batches", MetricRule::kSum, stats.batches...);
+  f("queue_depth", MetricRule::kSum, stats.queue_depth...);
+  f("rows_published", MetricRule::kSum, stats.rows_published...);
+  f("bytes_published", MetricRule::kSum, stats.bytes_published...);
+  f("topk_index_served", MetricRule::kSum, stats.topk_index_served...);
+  f("topk_index_fallbacks", MetricRule::kSum, stats.topk_index_fallbacks...);
+  f("topk_index_rows_reranked", MetricRule::kSum,
+    stats.topk_index_rows_reranked...);
+  f("topk_pairs_served", MetricRule::kSum, stats.topk_pairs_served...);
+  f("topk_pairs_fallbacks", MetricRule::kSum, stats.topk_pairs_fallbacks...);
+  f("rows_sparse", MetricRule::kSum, stats.rows_sparse...);
+  f("rows_dense", MetricRule::kSum, stats.rows_dense...);
+  f("bytes_saved", MetricRule::kSum, stats.bytes_saved...);
+  f("sparse_eps_drops", MetricRule::kSum, stats.sparse_eps_drops...);
+  f("sparse_max_error_bound", MetricRule::kMax,
+    stats.sparse_max_error_bound...);
+  f("tier_demotions", MetricRule::kSum, stats.tier_demotions...);
+  f("tier_promotions", MetricRule::kSum, stats.tier_promotions...);
+  f("rows_spilled_dense", MetricRule::kSum, stats.rows_spilled_dense...);
+  f("sparse_write_merges", MetricRule::kSum, stats.sparse_write_merges...);
+  f("graph_bytes_copied", MetricRule::kSum, stats.graph_bytes_copied...);
+  f("topk_cap_grows", MetricRule::kSum, stats.topk_cap_grows...);
+  f("topk_cap_shrinks", MetricRule::kSum, stats.topk_cap_shrinks...);
+  f("queue_wait_ns", MetricRule::kMerge, stats.queue_wait_ns...);
+  f("apply_ns", MetricRule::kMerge, stats.apply_ns...);
+  f("cache.hits", MetricRule::kSum, stats.cache.hits...);
+  f("cache.misses", MetricRule::kSum, stats.cache.misses...);
+  f("cache.invalidations", MetricRule::kSum, stats.cache.invalidations...);
+  f("cache.evictions", MetricRule::kSum, stats.cache.evictions...);
+  f("cache.stale_inserts", MetricRule::kSum, stats.cache.stale_inserts...);
+}
+
+/// Text dump of every metric in list order, one `name value` line each;
+/// a histogram prints as name.p50 / .p99 / .mean / .max / .count lines.
+std::string FormatServiceStats(const ServiceStats& stats);
 
 /// Observes the applied update stream: called by the applier after every
 /// apply/publish cycle with the published epoch (a dense 1-based sequence
@@ -399,6 +418,10 @@ class SimRankService {
   /// Top-k highest-scoring distinct pairs of the latest published epoch.
   std::vector<core::ScoredPair> TopKPairs(std::size_t k) const;
 
+  /// Counters as of the published epoch: the applier-written block is
+  /// the one swapped in with the current snapshot (so `epoch`, `applied`
+  /// and the storage accounting always describe the same epoch), plus the
+  /// live queue, read-path counters and latency histograms.
   ServiceStats stats() const;
   const ServiceOptions& options() const { return options_; }
 
@@ -430,8 +453,11 @@ class SimRankService {
   /// capacity by truncation, no sooner than one full publish after the
   /// grow.
   void AdaptTopKCapacities(std::vector<std::int32_t>* rerank);
-  /// Refreshes the atomic mirrors of store/graph accounting (applier).
-  void MirrorStorageCounters();
+  /// Fills the store/graph/index accounting of applier_stats_, then, in
+  /// one snapshot_mu_ critical section, numbers `next` (0 for the first
+  /// snapshot), swaps it in and publishes the stats block with it.
+  /// Returns the epoch.
+  std::uint64_t SwapSnapshot(std::shared_ptr<EpochSnapshot> next);
 
   const ServiceOptions options_;
   const bool replica_;
@@ -455,6 +481,8 @@ class SimRankService {
 
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const EpochSnapshot> snapshot_;
+  // applier_stats_ as of snapshot_'s epoch (guarded by snapshot_mu_).
+  ServiceStats published_stats_;
 
   // Applied-stream observer (replication fan-out). Written by
   // SetAppliedBatchListener, read by the applier once per batch.
@@ -479,37 +507,17 @@ class SimRankService {
   mutable std::mutex grow_mu_;
   mutable std::vector<graph::NodeId> grow_queue_;
 
-  // Cumulative counters (relaxed: read by stats() only).
-  std::atomic<std::uint64_t> applied_{0};
+  // Counters only the applier (or a replica's stream thread) writes:
+  // applied / failed / batches, the tier and capacity policy moves, and
+  // the store, graph and index accounting filled at publish. Published
+  // with each snapshot, so one stats() result describes one epoch.
+  ServiceStats applier_stats_;
+  // Bumped by Submit and the const read path (relaxed: read by stats()).
   std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  // Mutable: bumped by the const read path (TopKFor).
   mutable std::atomic<std::uint64_t> topk_served_{0};
   mutable std::atomic<std::uint64_t> topk_fallbacks_{0};
   mutable std::atomic<std::uint64_t> topk_pairs_served_{0};
   mutable std::atomic<std::uint64_t> topk_pairs_fallbacks_{0};
-  // Mirrors of the score store's COW accounting and the index's re-rank
-  // count, refreshed by the applier at each publish so stats() can read
-  // them from any thread.
-  std::atomic<std::uint64_t> rows_published_{0};
-  std::atomic<std::uint64_t> bytes_published_{0};
-  std::atomic<std::uint64_t> topk_rows_reranked_{0};
-  // Tier/capacity policy counters (applier writes, stats() reads) and
-  // publish-time mirrors of the store's tier gauges and the graph's COW
-  // accounting.
-  std::atomic<std::uint64_t> tier_demotions_{0};
-  std::atomic<std::uint64_t> tier_promotions_{0};
-  std::atomic<std::uint64_t> topk_cap_grows_{0};
-  std::atomic<std::uint64_t> topk_cap_shrinks_{0};
-  std::atomic<std::uint64_t> rows_sparse_{0};
-  std::atomic<std::uint64_t> rows_dense_{0};
-  std::atomic<std::uint64_t> bytes_saved_{0};
-  std::atomic<std::uint64_t> sparse_eps_drops_{0};
-  std::atomic<double> sparse_max_error_bound_{0.0};
-  std::atomic<std::uint64_t> rows_spilled_dense_{0};
-  std::atomic<std::uint64_t> sparse_write_merges_{0};
-  std::atomic<std::uint64_t> graph_bytes_copied_{0};
   // Latency histograms (relaxed atomics inside; applier records, stats()
   // snapshots from any thread). Always on — one bucket fetch_add per
   // sample — independent of whether event tracing is enabled.

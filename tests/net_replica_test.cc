@@ -198,6 +198,29 @@ TEST(Replication, TwoReplicasServeBitwiseIdenticalAnswers) {
   stream_b->Stop();
 }
 
+// A replica that subscribes only after every batch was applied receives
+// the whole stream as backlog catch-up frames; each one counts in
+// batches_streamed exactly like a live fan-out frame does.
+TEST(Replication, BacklogCatchUpFramesCountAsStreamed) {
+  DynamicDiGraph graph = TestGraph(37, 16, 40);
+  auto primary = MakePrimary(graph);
+  auto primary_server = IncSrServer::Serve(primary.get());
+  ASSERT_TRUE(primary_server.ok());
+  for (const EdgeUpdate& update : MixedStream(graph, 4, 2, 53)) {
+    ASSERT_TRUE(primary->Submit(update).ok());
+    ASSERT_TRUE(primary->Flush().ok());  // one batch, one epoch per update
+  }
+  const std::uint64_t epoch = primary->stats().epoch;
+  ASSERT_EQ(epoch, 6u);
+  EXPECT_EQ((*primary_server)->stats().batches_streamed, 0u);
+
+  auto replica = MakeReplica(graph);
+  auto stream = MustSubscribe(replica.get(), (*primary_server)->port());
+  AwaitEpoch(*replica, epoch);
+  EXPECT_EQ((*primary_server)->stats().batches_streamed, epoch);
+  stream->Stop();
+}
+
 // Writes must not sneak in through a replica: Submit answers
 // kNotSupported on the wire, and subscribing to a replica is refused.
 TEST(Replication, ReplicaRefusesWritesAndSubscriptions) {

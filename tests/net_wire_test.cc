@@ -15,6 +15,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -22,9 +23,13 @@
 #include "graph/update_stream.h"
 #include "net/wire.h"
 #include "obs/histogram.h"
+#include "service/simrank_service.h"
 
 namespace incsr::net::wire {
 namespace {
+
+using service::ForEachServiceMetric;
+using service::MetricRule;
 
 using core::ScoredPair;
 using graph::EdgeUpdate;
@@ -276,6 +281,42 @@ TEST(WireRoundTrip, StatsResponse) {
   EXPECT_EQ(out.stats.apply_ns.Percentile(0.99),
             in.stats.apply_ns.Percentile(0.99));
   ExpectAllTruncationsFail(in);
+
+  // Through the list: every metric carries a distinct value, so a metric
+  // the body dropped, duplicated or swapped with a neighbour cannot
+  // round-trip — including one added to the list after this test.
+  StatsResponse all;
+  std::uint64_t next = 1;
+  ForEachServiceMetric(
+      [&](const char*, MetricRule, auto& value) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+          obs::Histogram hist;
+          for (int i = 0; i < 3; ++i) hist.Record(1000 * next++);
+          value = hist.snapshot();
+        } else if constexpr (std::is_floating_point_v<T>) {
+          value = static_cast<double>(next++) + 0.25;
+        } else {
+          value = static_cast<T>(next++);
+        }
+      },
+      all.stats);
+  const StatsResponse decoded = FrameRoundTrip(MessageTag::kStatsResponse, all);
+  ForEachServiceMetric(
+      [&](const char* name, MetricRule, const auto& sent, const auto& got) {
+        using T = std::decay_t<decltype(sent)>;
+        if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+          EXPECT_EQ(got.count, sent.count) << name;
+          EXPECT_EQ(got.sum, sent.sum) << name;
+          EXPECT_EQ(got.min, sent.min) << name;
+          EXPECT_EQ(got.max, sent.max) << name;
+          EXPECT_EQ(got.buckets, sent.buckets) << name;
+        } else {
+          EXPECT_EQ(got, sent) << name;
+        }
+      },
+      all.stats, decoded.stats);
+  ExpectAllTruncationsFail(all);
 }
 
 TEST(WireRoundTrip, StatsResponseEmptyHistogramsStayEmpty) {
@@ -299,13 +340,28 @@ TEST(WireHostileInput, StatsHistogramRejectsMalformedBucketLists) {
     StatsResponse out;
     ASSERT_TRUE(StatsResponse::DecodeBody(body, &out));  // baseline sane
   }
-  // The queue_wait histogram tail: sum/min/max (24 B) + nonzero (4 B) +
-  // two (u8, u64) pairs; apply_ns (empty) follows as 28 B of zeros, then
-  // the v5 write-path counters (2 × u64) close the body.
-  const std::size_t v5_tail = 8 * 2;
-  const std::size_t apply_bytes = 8 * 3 + 4;
-  const std::size_t pairs_at = body.size() - v5_tail - apply_bytes - 2 * 9;
-  const std::size_t nonzero_at = pairs_at - 4;
+  // Offset of the queue_wait histogram, walked through the list-driven
+  // layout: status (1 B), num_nodes + num_edges (16 B), is_replica (1 B),
+  // then 8 B per scalar metric and 28 B per (empty) histogram listed
+  // before it. Inside it: sum/min/max (24 B), the nonzero count (4 B),
+  // then two (u8, u64) bucket pairs.
+  std::size_t hist_at = 1 + 8 + 8 + 1;
+  bool reached = false;
+  ForEachServiceMetric(
+      [&](const char* name, MetricRule, const auto& value) {
+        if (reached) return;
+        if (std::string_view(name) == "queue_wait_ns") {
+          reached = true;
+          return;
+        }
+        using T = std::decay_t<decltype(value)>;
+        hist_at += std::is_same_v<T, obs::HistogramSnapshot> ? 8 * 3 + 4 : 8;
+      },
+      in.stats);
+  ASSERT_TRUE(reached);
+  const std::size_t nonzero_at = hist_at + 8 * 3;
+  const std::size_t pairs_at = nonzero_at + 4;
+  ASSERT_EQ(body[nonzero_at], '\x02');  // the offset lands on the count
 
   // Bucket count claiming more buckets than exist: rejected (and the
   // Reader's bounds check keeps the pair loop from over-reading).

@@ -6,10 +6,15 @@
 // whole suite is TSan-clean; CI runs it under -fsanitize=thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -606,6 +611,32 @@ TEST(SimRankService, IsolatedNodeQueryIsAscendingZeroTail) {
 
 // ---- ServiceStats aggregation (regression: epoch must not sum) -----------
 
+// A ServiceStats whose listed metrics hold distinct values: the i-th
+// scalar is start + i·step, the i-th histogram records three samples
+// around that value.
+ServiceStats DistinctStats(std::int64_t start, std::int64_t step) {
+  ServiceStats stats;
+  std::int64_t next = start;
+  ForEachServiceMetric(
+      [&](const char*, MetricRule, auto& value) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+          obs::Histogram hist;
+          for (std::uint64_t k = 1; k <= 3; ++k) {
+            hist.Record(static_cast<std::uint64_t>(next) * 1000 * k);
+          }
+          value = hist.snapshot();
+        } else if constexpr (std::is_floating_point_v<T>) {
+          value = static_cast<double>(next) + 0.5;
+        } else {
+          value = static_cast<T>(next);
+        }
+        next += step;
+      },
+      stats);
+  return stats;
+}
+
 TEST(ServiceStats, AggregationTakesMaxEpochAndSumsCounters) {
   ServiceStats a;
   a.epoch = 7;
@@ -624,6 +655,78 @@ TEST(ServiceStats, AggregationTakesMaxEpochAndSumsCounters) {
   c.epoch = 9;
   a += c;
   EXPECT_EQ(a.epoch, 9u);
+
+  // Every listed metric, by its rule: x ascends through the list and y
+  // descends, so MAX and SUM disagree on every metric (and x < y on some,
+  // x > y on others).
+  ServiceStats x = DistinctStats(1, 1);
+  ServiceStats y = DistinctStats(200, -3);
+  ServiceStats sum = x;
+  sum += y;
+  ForEachServiceMetric(
+      [](const char* name, MetricRule rule, const auto& lhs, const auto& rhs,
+         const auto& total) {
+        using T = std::decay_t<decltype(lhs)>;
+        constexpr bool kHistogram = std::is_same_v<T, obs::HistogramSnapshot>;
+        EXPECT_EQ(rule == MetricRule::kMerge, kHistogram) << name;
+        if constexpr (kHistogram) {
+          EXPECT_EQ(total.count, lhs.count + rhs.count) << name;
+          EXPECT_EQ(total.sum, lhs.sum + rhs.sum) << name;
+          EXPECT_EQ(total.min, std::min(lhs.min, rhs.min)) << name;
+          EXPECT_EQ(total.max, std::max(lhs.max, rhs.max)) << name;
+          for (std::size_t i = 0; i < obs::kHistogramBuckets; ++i) {
+            EXPECT_EQ(total.buckets[i], lhs.buckets[i] + rhs.buckets[i])
+                << name << " bucket " << i;
+          }
+        } else if (rule == MetricRule::kMax) {
+          EXPECT_EQ(total, std::max(lhs, rhs)) << name;
+        } else {
+          EXPECT_EQ(total, lhs + rhs) << name;
+        }
+      },
+      x, y, sum);
+  // The two MAX rules of today's list.
+  EXPECT_EQ(sum.epoch, std::max(x.epoch, y.epoch));
+  EXPECT_EQ(sum.sparse_max_error_bound,
+            std::max(x.sparse_max_error_bound, y.sparse_max_error_bound));
+}
+
+// The text dump names every listed metric exactly once (a histogram as
+// its five derived lines) and prints each scalar's value.
+TEST(ServiceStats, FormatEmitsEveryListedMetricOnce) {
+  const ServiceStats stats = DistinctStats(1, 1);
+  std::map<std::string, int> seen;
+  std::map<std::string, std::string> values;
+  std::istringstream dump(FormatServiceStats(stats));
+  std::string line;
+  while (std::getline(dump, line)) {
+    const std::size_t space = line.find(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    ++seen[line.substr(0, space)];
+    values[line.substr(0, space)] = line.substr(space + 1);
+  }
+  std::size_t expected_lines = 0;
+  ForEachServiceMetric(
+      [&](const char* name, MetricRule, const auto& value) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+          for (const char* suffix : {".p50", ".p99", ".mean", ".max",
+                                     ".count"}) {
+            EXPECT_EQ(seen[std::string(name) + suffix], 1) << name << suffix;
+            ++expected_lines;
+          }
+          EXPECT_EQ(values[std::string(name) + ".count"],
+                    std::to_string(value.count));
+        } else {
+          EXPECT_EQ(seen[name], 1) << name;
+          ++expected_lines;
+          std::ostringstream want;
+          want << value;
+          EXPECT_EQ(values[name], want.str()) << name;
+        }
+      },
+      stats);
+  EXPECT_EQ(seen.size(), expected_lines);
 }
 
 // ---- TopKIndex unit tests ------------------------------------------------

@@ -14,6 +14,8 @@
 //     percentiles track the log-bucket error envelope.
 //   - Summarize: phase rollups, applier pipeline coverage, and the epoch
 //     timeline computed from a hand-built TraceFile.
+//   - Trace ↔ stats cross-check: a traced tiered service's counters equal
+//     the sums of the trace events that record the same work.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,9 +26,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/dynamic_simrank.h"
+#include "graph/generators.h"
+#include "graph/update_stream.h"
 #include "obs/histogram.h"
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
+#include "service/simrank_service.h"
 
 namespace incsr::obs {
 namespace {
@@ -512,6 +519,80 @@ TEST(Summarize, EmptyTraceIsWellFormed) {
   EXPECT_TRUE(summary.epochs.empty());
   // Rendering an empty summary must not crash or divide by zero.
   EXPECT_FALSE(RenderSummary(summary).empty());
+}
+
+// ---- Trace ↔ service stats cross-check -------------------------------------
+
+// The trace and ServiceStats record the same work from two sides; on a
+// drained run with no dropped events they must agree exactly. Tiered
+// storage (ε > 0) and the top-k index are on so every compared counter
+// moves. The tracer starts before the service exists, so the initial
+// index build and tier pass are on both sides too.
+TEST(TraceStatsCrossCheck, ServiceCountersEqualTraceEventSums) {
+  auto seed = graph::ErdosRenyiGnm(48, 120, 13);
+  ASSERT_TRUE(seed.ok());
+  const graph::DynamicDiGraph graph = graph::MaterializeGraph(48, *seed);
+  simrank::SimRankOptions sr;
+  sr.damping = 0.6;
+  sr.iterations = 8;
+  auto index = core::DynamicSimRank::Create(graph, sr);
+  ASSERT_TRUE(index.ok());
+  Rng rng(29);
+  auto inserts = graph::SampleInsertions(graph, 24, &rng);
+  auto deletes = graph::SampleDeletions(graph, 12, &rng);
+  ASSERT_TRUE(inserts.ok());
+  ASSERT_TRUE(deletes.ok());
+  service::ServiceOptions options;
+  options.max_batch = 4;
+  options.topk_index_capacity = 8;
+  options.sparse.enabled = true;
+  options.sparse.epsilon = 1e-4;
+
+  Tracer& tracer = Tracer::Instance();
+  ASSERT_TRUE(tracer.Start(TempTracePath("stats"), 4096).ok());
+  const std::string resolved = tracer.active_path();
+  auto service =
+      service::SimRankService::Create(std::move(index).value(), options);
+  ASSERT_TRUE(service.ok());
+  // Flush per update pins the batch boundaries, so every count below is
+  // the same on every run; interleaved reads feed the tier policy.
+  for (std::size_t i = 0; i < inserts->size(); ++i) {
+    ASSERT_TRUE((*service)->Submit((*inserts)[i]).ok());
+    ASSERT_TRUE((*service)->Flush().ok());
+    if (i < deletes->size()) {
+      ASSERT_TRUE((*service)->Submit((*deletes)[i]).ok());
+      ASSERT_TRUE((*service)->Flush().ok());
+    }
+    ASSERT_TRUE((*service)->TopKFor(static_cast<graph::NodeId>(i), 4).ok());
+  }
+  (*service)->Stop();
+  const service::ServiceStats stats = (*service)->stats();
+  tracer.Stop();
+
+  auto file = ReadTraceFile(resolved);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const TraceSummary summary = Summarize(*file);
+  ASSERT_TRUE(summary.footer_present);
+  EXPECT_EQ(summary.total_dropped, 0u);
+  const auto span = [&](EventId id) {
+    auto it = summary.spans.find(static_cast<std::uint16_t>(id));
+    return it == summary.spans.end() ? PhaseStat{} : it->second;
+  };
+  const auto counter = [&](EventId id) {
+    auto it = summary.counters.find(static_cast<std::uint16_t>(id));
+    return it == summary.counters.end() ? PhaseStat{} : it->second;
+  };
+  EXPECT_EQ(span(EventId::kRerank).arg_sum, stats.topk_index_rows_reranked);
+  EXPECT_EQ(counter(EventId::kStoreRowCow).total_ns, stats.bytes_published);
+  EXPECT_EQ(counter(EventId::kStoreWriteSpill).count,
+            stats.rows_spilled_dense);
+  EXPECT_EQ(counter(EventId::kStoreSparseMerge).count,
+            stats.sparse_write_merges);
+  // Non-vacuous: the run exercised each compared path.
+  EXPECT_GT(stats.topk_index_rows_reranked, 0u);
+  EXPECT_GT(stats.bytes_published, 0u);
+  EXPECT_GT(stats.sparse_write_merges, 0u);
+  EXPECT_GT(stats.rows_spilled_dense, 0u);
 }
 
 TEST(EventNames, CoverEveryKnownId) {

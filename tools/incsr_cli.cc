@@ -48,7 +48,9 @@
 //
 // `client` is a thin RPC client for a --listen server. Node ids on the
 // wire are the server's DENSE ids (the edge-list reader's remapped
-// space), not the original file ids.
+// space), not the original file ids. `client --stats` prints the graph
+// shape and role, then every service metric as one `name value` line
+// (service::FormatServiceStats — the same dump `serve` prints at exit).
 //
 // The updates file holds one update per line: "+ src dst" (insert) or
 // "- src dst" (delete); '#' starts a comment.
@@ -506,62 +508,17 @@ int RunServeSharded(const ServeOptions& options,
 
   shard::ShardedStats stats = svc.stats();
   std::printf(
-      "replayed in %.3f s: %llu applied, %llu failed (%llu at the router), "
-      "%llu dropped by backpressure, max epoch %llu over %zu shard(s), "
-      "%llu shard merges\n",
-      outcome.seconds, static_cast<unsigned long long>(stats.total.applied),
-      static_cast<unsigned long long>(stats.total.failed),
+      "replayed in %.3f s: %llu dropped by backpressure, %llu failed at the "
+      "router, %zu shard(s), %llu shard merges\n",
+      outcome.seconds, static_cast<unsigned long long>(outcome.dropped),
       static_cast<unsigned long long>(stats.router_failed),
-      static_cast<unsigned long long>(outcome.dropped),
-      static_cast<unsigned long long>(stats.total.epoch), stats.active_shards,
-      static_cast<unsigned long long>(stats.merges));
+      stats.active_shards, static_cast<unsigned long long>(stats.merges));
   std::printf("aggregate ingest throughput: %.0f updates/s\n",
               static_cast<double>(stats.total.applied) / outcome.seconds);
   std::printf("concurrent queries served: %llu (%.0f queries/s)\n",
               static_cast<unsigned long long>(outcome.queries),
               static_cast<double>(outcome.queries) / outcome.seconds);
-  std::printf(
-      "query cache: %llu hits, %llu misses, %llu invalidations, "
-      "%llu evictions\n",
-      static_cast<unsigned long long>(stats.total.cache.hits),
-      static_cast<unsigned long long>(stats.total.cache.misses),
-      static_cast<unsigned long long>(stats.total.cache.invalidations),
-      static_cast<unsigned long long>(stats.total.cache.evictions));
-  std::printf(
-      "top-k index: %llu misses served O(k), %llu row-scan fallbacks, "
-      "%llu rows re-ranked across shards\n",
-      static_cast<unsigned long long>(stats.total.topk_index_served),
-      static_cast<unsigned long long>(stats.total.topk_index_fallbacks),
-      static_cast<unsigned long long>(stats.total.topk_index_rows_reranked));
-  std::printf(
-      "pair queries: %llu misses served by index merge, %llu pair-scan "
-      "fallbacks\n",
-      static_cast<unsigned long long>(stats.total.topk_pairs_served),
-      static_cast<unsigned long long>(stats.total.topk_pairs_fallbacks));
-  if (stats.total.rows_sparse > 0 || stats.total.tier_demotions > 0) {
-    std::printf(
-        "tiered store: %llu sparse / %llu dense rows, %.2f MB saved, "
-        "%llu demotions, %llu promotions, %llu eps-drops, "
-        "max error bound %.3g\n",
-        static_cast<unsigned long long>(stats.total.rows_sparse),
-        static_cast<unsigned long long>(stats.total.rows_dense),
-        static_cast<double>(stats.total.bytes_saved) / 1e6,
-        static_cast<unsigned long long>(stats.total.tier_demotions),
-        static_cast<unsigned long long>(stats.total.tier_promotions),
-        static_cast<unsigned long long>(stats.total.sparse_eps_drops),
-        stats.total.sparse_max_error_bound);
-    std::printf(
-        "write path: %llu sparse merges, %llu dense spills\n",
-        static_cast<unsigned long long>(stats.total.sparse_write_merges),
-        static_cast<unsigned long long>(stats.total.rows_spilled_dense));
-  }
-  if (stats.total.topk_cap_grows > 0 || stats.total.topk_cap_shrinks > 0) {
-    std::printf("adaptive index capacity: %llu grows, %llu shrinks\n",
-                static_cast<unsigned long long>(stats.total.topk_cap_grows),
-                static_cast<unsigned long long>(stats.total.topk_cap_shrinks));
-  }
-  std::printf("graph snapshots copy-on-wrote %.2f KB of adjacency\n",
-              static_cast<double>(stats.total.graph_bytes_copied) / 1e3);
+  std::fputs(service::FormatServiceStats(stats.total).c_str(), stdout);
   if (stats.merges > 0) {
     std::printf(
         "shard merges rebuilt %llu score rows (%.2f MB) in %.3f s — the "
@@ -617,29 +574,6 @@ void PrintServerStats(const net::IncSrServer& server) {
       static_cast<unsigned long long>(net_stats.requests_served),
       static_cast<unsigned long long>(net_stats.protocol_errors),
       static_cast<unsigned long long>(net_stats.batches_streamed));
-}
-
-void PrintFinalServiceStats(const service::ServiceStats& stats) {
-  std::printf(
-      "final epoch %llu: %llu submitted, %llu applied, %llu failed, "
-      "%llu rejected by backpressure\n",
-      static_cast<unsigned long long>(stats.epoch),
-      static_cast<unsigned long long>(stats.submitted),
-      static_cast<unsigned long long>(stats.applied),
-      static_cast<unsigned long long>(stats.failed),
-      static_cast<unsigned long long>(stats.rejected));
-  if (stats.rows_sparse > 0 || stats.tier_demotions > 0) {
-    std::printf(
-        "tiered store: %llu sparse / %llu dense rows, %.2f MB saved, "
-        "max error bound %.3g\n",
-        static_cast<unsigned long long>(stats.rows_sparse),
-        static_cast<unsigned long long>(stats.rows_dense),
-        static_cast<double>(stats.bytes_saved) / 1e6,
-        stats.sparse_max_error_bound);
-    std::printf("write path: %llu sparse merges, %llu dense spills\n",
-                static_cast<unsigned long long>(stats.sparse_write_merges),
-                static_cast<unsigned long long>(stats.rows_spilled_dense));
-  }
 }
 
 // Pre-applies an on-disk update stream through the serving path (so a
@@ -719,7 +653,8 @@ int RunServeListen(const ServeOptions& options) {
     (*server)->Stop();       // stop accepting / answering
     (*service)->Stop();      // drain every shard, publish final epochs
     PrintServerStats(**server);
-    PrintFinalServiceStats((*service)->stats().total);
+    std::fputs(service::FormatServiceStats((*service)->stats().total).c_str(),
+               stdout);
     return 0;
   }
 
@@ -794,7 +729,7 @@ int RunServeListen(const ServeOptions& options) {
   }
   (*service)->Stop();
   PrintServerStats(**server);
-  PrintFinalServiceStats((*service)->stats());
+  std::fputs(service::FormatServiceStats((*service)->stats()).c_str(), stdout);
   return 0;
 }
 
@@ -983,29 +918,11 @@ int RunClient(const ClientCommand& command) {
                    response.status().ToString().c_str());
       return 1;
     }
-    const auto& s = response->stats;
-    std::printf(
-        "%s: %llu nodes, %llu edges, epoch %llu, %llu applied, "
-        "%llu failed, %llu rejected\n",
-        response->is_replica ? "replica" : "primary",
-        static_cast<unsigned long long>(response->num_nodes),
-        static_cast<unsigned long long>(response->num_edges),
-        static_cast<unsigned long long>(s.epoch),
-        static_cast<unsigned long long>(s.applied),
-        static_cast<unsigned long long>(s.failed),
-        static_cast<unsigned long long>(s.rejected));
-    auto print_latency = [](const char* label,
-                            const obs::HistogramSnapshot& hist) {
-      if (hist.empty()) return;
-      std::printf(
-          "%s: p50 %.1f us, p99 %.1f us, mean %.1f us, max %.1f us "
-          "(%llu samples)\n",
-          label, hist.Percentile(0.5) / 1e3, hist.Percentile(0.99) / 1e3,
-          hist.Mean() / 1e3, static_cast<double>(hist.max) / 1e3,
-          static_cast<unsigned long long>(hist.count));
-    };
-    print_latency("queue wait", s.queue_wait_ns);
-    print_latency("batch apply", s.apply_ns);
+    std::printf("%s: %llu nodes, %llu edges\n",
+                response->is_replica ? "replica" : "primary",
+                static_cast<unsigned long long>(response->num_nodes),
+                static_cast<unsigned long long>(response->num_edges));
+    std::fputs(service::FormatServiceStats(response->stats).c_str(), stdout);
   }
   return 0;
 }
@@ -1107,59 +1024,14 @@ int RunServe(const ServeOptions& options) {
   const double replay_seconds = outcome.seconds;
 
   service::ServiceStats stats = svc.stats();
-  std::printf(
-      "replayed in %.3f s: %llu applied, %llu failed, %llu dropped by "
-      "backpressure, %llu epochs\n",
-      replay_seconds, static_cast<unsigned long long>(stats.applied),
-      static_cast<unsigned long long>(stats.failed),
-      static_cast<unsigned long long>(outcome.dropped),
-      static_cast<unsigned long long>(stats.epoch));
+  std::printf("replayed in %.3f s: %llu dropped by backpressure\n",
+              replay_seconds, static_cast<unsigned long long>(outcome.dropped));
   std::printf("ingest throughput: %.0f updates/s\n",
               static_cast<double>(stats.applied) / replay_seconds);
   std::printf("concurrent queries served: %llu (%.0f queries/s)\n",
               static_cast<unsigned long long>(outcome.queries),
               static_cast<double>(outcome.queries) / replay_seconds);
-  std::printf(
-      "query cache: %llu hits, %llu misses, %llu invalidations, "
-      "%llu evictions\n",
-      static_cast<unsigned long long>(stats.cache.hits),
-      static_cast<unsigned long long>(stats.cache.misses),
-      static_cast<unsigned long long>(stats.cache.invalidations),
-      static_cast<unsigned long long>(stats.cache.evictions));
-  std::printf(
-      "top-k index: %llu misses served O(k), %llu row-scan fallbacks, "
-      "%llu rows re-ranked\n",
-      static_cast<unsigned long long>(stats.topk_index_served),
-      static_cast<unsigned long long>(stats.topk_index_fallbacks),
-      static_cast<unsigned long long>(stats.topk_index_rows_reranked));
-  std::printf(
-      "pair queries: %llu misses served by index merge, %llu pair-scan "
-      "fallbacks\n",
-      static_cast<unsigned long long>(stats.topk_pairs_served),
-      static_cast<unsigned long long>(stats.topk_pairs_fallbacks));
-  if (stats.rows_sparse > 0 || stats.tier_demotions > 0) {
-    std::printf(
-        "tiered store: %llu sparse / %llu dense rows, %.2f MB saved, "
-        "%llu demotions, %llu promotions, %llu eps-drops, "
-        "max error bound %.3g\n",
-        static_cast<unsigned long long>(stats.rows_sparse),
-        static_cast<unsigned long long>(stats.rows_dense),
-        static_cast<double>(stats.bytes_saved) / 1e6,
-        static_cast<unsigned long long>(stats.tier_demotions),
-        static_cast<unsigned long long>(stats.tier_promotions),
-        static_cast<unsigned long long>(stats.sparse_eps_drops),
-        stats.sparse_max_error_bound);
-    std::printf("write path: %llu sparse merges, %llu dense spills\n",
-                static_cast<unsigned long long>(stats.sparse_write_merges),
-                static_cast<unsigned long long>(stats.rows_spilled_dense));
-  }
-  if (stats.topk_cap_grows > 0 || stats.topk_cap_shrinks > 0) {
-    std::printf("adaptive index capacity: %llu grows, %llu shrinks\n",
-                static_cast<unsigned long long>(stats.topk_cap_grows),
-                static_cast<unsigned long long>(stats.topk_cap_shrinks));
-  }
-  std::printf("graph snapshots copy-on-wrote %.2f KB of adjacency\n",
-              static_cast<double>(stats.graph_bytes_copied) / 1e3);
+  std::fputs(service::FormatServiceStats(stats).c_str(), stdout);
   // Publish amplification: rows copy-on-written per applied update. The
   // full-copy design this replaced paid n rows per EPOCH regardless of
   // the affected area.
