@@ -16,14 +16,23 @@
 // service and reports the applier-side maintenance cost: index rows
 // re-ranked per epoch (== rows the batch touched, never n).
 //
+// --rebuild adds the index-maintenance ledger: for each n, over a dense
+// store and a sparse one (~2 % of each row stored), it times
+// TopKIndex::RebuildAll (ms) and RebuildRows over n/4 random rows
+// (ns per row) at 1 and 4 threads, and checks that both thread counts
+// build bitwise-identical entries. Results land in the JSON's "rebuild"
+// array.
+//
 // Usage: bench_topk_index [--nodes-list 1000,2000,4000] [--queries Q]
 //          [--topk K] [--index-capacity C] [--edges-per-node D]
-//          [--updates U] [--json PATH]
+//          [--updates U] [--rebuild] [--json PATH]
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -40,6 +49,7 @@ struct Config {
   std::size_t index_capacity = 64;
   std::size_t edges_per_node = 4;
   std::size_t updates = 32;
+  bool rebuild = false;
   std::string json_path;
 };
 
@@ -75,6 +85,75 @@ std::unique_ptr<service::SimRankService> MakeService(
                                              options);
   INCSR_CHECK(svc.ok(), "service build failed");
   return std::move(svc).value();
+}
+
+// Entries of every row, bitwise (score bits included).
+bool SameEntries(const service::TopKIndex& x, const service::TopKIndex& y,
+                 std::size_t n) {
+  for (std::size_t row = 0; row < n; ++row) {
+    const auto a = x.EntryItems(row);
+    const auto b = y.EntryItems(row);
+    if (a.size() != b.size() ||
+        (!a.empty() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) != 0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The --rebuild ledger for one n: RebuildAll and RebuildRows cost over a
+// dense and a sparse store, at 1 and 4 threads.
+void RebuildSweep(std::size_t n, std::size_t capacity,
+                  bench::JsonObject* root) {
+  la::ScoreStore dense(SyntheticScores(n, 23));
+  la::ScoreStore sparse(SyntheticScores(n, 23));
+  // Scores are uniform in [0, 1): epsilon 0.98 keeps ~2 % of each row.
+  sparse.set_sparsity({.epsilon = 0.98, .max_density = 0.5});
+  for (std::size_t row = 0; row < n; ++row) sparse.SparsifyRow(row, {});
+  Rng rng(31);
+  std::vector<std::int32_t> rows(std::max<std::size_t>(1, n / 4));
+  for (std::int32_t& row : rows) {
+    row = static_cast<std::int32_t>(rng.NextBounded(n));
+  }
+  for (const auto& [name, store] :
+       {std::pair<const char*, const la::ScoreStore*>{"dense", &dense},
+        {"sparse", &sparse}}) {
+    std::unique_ptr<service::TopKIndex> serial;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      auto index = std::make_unique<service::TopKIndex>(capacity, threads);
+      WallTimer all_timer;
+      index->RebuildAll(*store);
+      const double all_ms = all_timer.ElapsedSeconds() * 1e3;
+      const std::uint64_t before = index->rows_reranked();
+      WallTimer rows_timer;
+      index->RebuildRows(*store, rows);
+      const double rows_seconds = rows_timer.ElapsedSeconds();
+      const std::uint64_t reranked = index->rows_reranked() - before;
+      const double ns_per_row =
+          rows_seconds * 1e9 /
+          static_cast<double>(std::max<std::uint64_t>(1, reranked));
+      bool identical = true;
+      if (serial == nullptr) {
+        serial = std::move(index);
+      } else {
+        identical = SameEntries(*serial, *index, n);
+        INCSR_CHECK(identical, "rebuild at %zu threads differs from serial",
+                    threads);
+      }
+      std::printf("  %8zu %8s %8zu %16.2f %20.0f\n", n, name, threads,
+                  all_ms, ns_per_row);
+      root->AddObject("rebuild")
+          ->Set("nodes", n)
+          .Set("store", name)
+          .Set("threads", threads)
+          .Set("index_capacity", capacity)
+          .Set("rebuild_all_ms", all_ms)
+          .Set("rebuild_rows", reranked)
+          .Set("rebuild_rows_ns_per_row", ns_per_row)
+          .Set("bitwise_equal_to_serial", identical);
+    }
+  }
 }
 
 // Times `queries` uniform-random TopKFor misses; returns seconds.
@@ -127,6 +206,8 @@ int main(int argc, char** argv) {
       config.edges_per_node = static_cast<std::size_t>(std::atoll(next()));
     } else if (std::strcmp(argv[i], "--updates") == 0) {
       config.updates = static_cast<std::size_t>(std::atoll(next()));
+    } else if (std::strcmp(argv[i], "--rebuild") == 0) {
+      config.rebuild = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       config.json_path = next();
     } else {
@@ -222,6 +303,19 @@ int main(int argc, char** argv) {
         .Set("reranked_rows_per_epoch", reranked_per_epoch)
         .Set("topk_index_served", stats.topk_index_served)
         .Set("topk_index_fallbacks", stats.topk_index_fallbacks);
+  }
+
+  if (config.rebuild) {
+    std::printf("\nindex maintenance (capacity %zu): RebuildAll, and "
+                "RebuildRows over n/4 random rows\n",
+                config.index_capacity);
+    std::printf("  %8s %8s %8s %16s %20s\n", "n", "store", "threads",
+                "RebuildAll ms", "RebuildRows ns/row");
+    root.Set("cores", static_cast<std::uint64_t>(
+                          std::thread::hardware_concurrency()));
+    for (std::size_t n : config.nodes_list) {
+      RebuildSweep(n, config.index_capacity, &root);
+    }
   }
 
   if (!config.json_path.empty()) {

@@ -20,7 +20,83 @@ int DefaultBatchIterations(double damping) {
   return std::max(20, static_cast<int>(std::ceil(k)));
 }
 
+// Per-thread candidate scratch for TopKForRow: selection partitions the
+// candidates in place and copies only the winning prefix out, so a
+// returned entry holds exactly min(k, n-1) items and the O(n) buffers are
+// reused across rows and calls (the index re-rank runs TopKForRow once
+// per touched row on every scheduler worker).
+thread_local std::vector<ScoredPair> tls_candidates;
+thread_local std::vector<ScoredPair> tls_negatives;
+
+// Appends the best min(m, |*cands|) of *cands to *out in contract order.
+// Reorders *cands.
+void AppendBest(std::vector<ScoredPair>* cands, std::size_t m,
+                std::vector<ScoredPair>* out) {
+  const auto mid = cands->begin() +
+                   static_cast<std::ptrdiff_t>(std::min(m, cands->size()));
+  // A lambda, not &ScoredPairRanksBefore: the comparator's type then
+  // names the function, so the sort inlines it instead of calling
+  // through a pointer.
+  const auto ranks_before = [](const ScoredPair& x, const ScoredPair& y) {
+    return ScoredPairRanksBefore(x, y);
+  };
+  if (mid != cands->end()) {
+    std::nth_element(cands->begin(), mid, cands->end(), ranks_before);
+  }
+  std::sort(cands->begin(), mid, ranks_before);
+  out->insert(out->end(), cands->begin(), mid);
+}
+
 }  // namespace
+
+std::vector<ScoredPair> TopKForRow(const la::RawRow& row, std::size_t n,
+                                   graph::NodeId query, std::size_t k) {
+  const auto q = static_cast<std::size_t>(query);
+  const std::size_t m = std::min(k, n > 0 ? n - 1 : 0);
+  std::vector<ScoredPair> out;
+  if (m == 0) return out;
+  out.reserve(m);
+  std::vector<ScoredPair>& candidates = tls_candidates;
+  candidates.clear();
+  if (!row.is_sparse()) {
+    for (std::size_t b = 0; b < n; ++b) {
+      if (b == q) continue;
+      candidates.push_back(
+          {query, static_cast<graph::NodeId>(b), row.dense[b]});
+    }
+    AppendBest(&candidates, m, &out);
+    return out;
+  }
+  // Sparse row: split the stored off-diagonal entries into the positive
+  // and negative tiers; everything else scores a zero.
+  std::vector<ScoredPair>& negatives = tls_negatives;
+  negatives.clear();
+  for (std::size_t e = 0; e < row.cols.size(); ++e) {
+    const auto b = static_cast<graph::NodeId>(row.cols[e]);
+    if (b == query) continue;
+    const double v = row.vals[e];
+    if (v > 0.0) {
+      candidates.push_back({query, b, v});
+    } else if (v < 0.0) {
+      negatives.push_back({query, b, v});
+    }
+  }
+  AppendBest(&candidates, m, &out);
+  // Zero tier: every zero ties on score (+0.0 == -0.0), so ascending id.
+  // An absent column reads +0.0 exactly as a gather would; a stored zero
+  // keeps its own bits.
+  std::size_t e = 0;
+  for (std::size_t b = 0; b < n && out.size() < m; ++b) {
+    double v = 0.0;
+    if (e < row.cols.size() && static_cast<std::size_t>(row.cols[e]) == b) {
+      v = row.vals[e++];
+      if (v > 0.0 || v < 0.0) continue;  // ranked in its own tier
+    }
+    if (b != q) out.push_back({query, static_cast<graph::NodeId>(b), v});
+  }
+  if (out.size() < m) AppendBest(&negatives, m - out.size(), &out);
+  return out;
+}
 
 DynamicSimRank::DynamicSimRank(graph::DynamicDiGraph graph, la::DenseMatrix s,
                                const simrank::SimRankOptions& options,

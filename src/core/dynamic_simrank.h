@@ -96,38 +96,31 @@ std::vector<ScoredPair> TopKPairsOf(const SLike& s, std::size_t k) {
   return heap;
 }
 
-/// Top-k most similar nodes to `query` (excluding itself) read off row
-/// `query` of `s`. Same ordering contract as TopKPairsOf: descending
-/// score, ties broken by ascending node id — required for
-/// shard-count-invariant results. Bounded min-heap: O(n log k).
+/// Top-k most similar nodes to `query` (excluding itself) from row
+/// `query`'s stored representation `row` over `n` columns. Same ordering
+/// contract as TopKPairsOf: descending score, ties broken by ascending
+/// node id — required for shard-count-invariant results. This is THE
+/// single-row ranking kernel: the serving layer's top-k index builds its
+/// entries with it and a miss past an entry falls back to it, so
+/// index-served results are bitwise what a fallback returns. Selection,
+/// not a heap:
+///   - dense row: nth_element to min(k, n-1), then sort that prefix —
+///     O(n + k log k);
+///   - sparse row: no O(n) gather. Stored positives are selected and
+///     sorted; then comes the zero tier in ascending id (an absent column
+///     reads as +0.0, a stored ±0.0 keeps its bits — all tie on score);
+///     then the stored negatives, stopping at k — O(nnz + k log k).
+/// Returns min(k, n-1) items. Thread-safe (per-thread scratch).
+std::vector<ScoredPair> TopKForRow(const la::RawRow& row, std::size_t n,
+                                   graph::NodeId query, std::size_t k);
+
+/// TopKForRow over row `query` of a la::ScoreStore or a pinned
+/// la::ScoreStore::View.
 template <typename SLike>
 std::vector<ScoredPair> TopKForOf(const SLike& s, graph::NodeId query,
                                   std::size_t k) {
-  const std::size_t n = s.rows();
-  const std::size_t q = static_cast<std::size_t>(query);
-  la::Vector scratch;
-  const double* row = s.ReadRow(q, &scratch);
-  // Bounded min-heap over the k best seen so far: O(n log k) instead of
-  // the former full materialize-and-sort — this is the hot read path the
-  // serving layer multiplies by every query. Every candidate shares the
-  // same `a` (= query), so the shared order reduces to ascending b ties.
-  const auto cmp = &ScoredPairRanksBefore;
-  std::vector<ScoredPair> heap;
-  heap.reserve(std::min(k, n));
-  for (std::size_t b = 0; b < n; ++b) {
-    if (b == q) continue;
-    ScoredPair cand{query, static_cast<graph::NodeId>(b), row[b]};
-    if (heap.size() < k) {
-      heap.push_back(cand);
-      std::push_heap(heap.begin(), heap.end(), cmp);
-    } else if (!heap.empty() && cmp(cand, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), cmp);
-      heap.back() = cand;
-      std::push_heap(heap.begin(), heap.end(), cmp);
-    }
-  }
-  std::sort_heap(heap.begin(), heap.end(), cmp);
-  return heap;
+  return TopKForRow(s.ReadRawRow(static_cast<std::size_t>(query)), s.rows(),
+                    query, k);
 }
 
 /// Incrementally maintained all-pairs SimRank index (matrix form, Eq. 2).

@@ -44,6 +44,10 @@ SparsifyResult SparsifyDenseRow(const double* row, std::size_t num_cols,
   auto keep_it = keep.begin();
   for (std::size_t j = 0; j < num_cols; ++j) {
     const double v = row[j];
+    // Before the keep check: a protected +0.0 is still restored bitwise by
+    // a gather, and storing it would let a full-row keep set (index
+    // capacity >= n-1) fail the density gate on a mostly-zero row.
+    if (IsPositiveZero(v)) continue;
     bool kept_by_index = false;
     while (keep_it != keep.end() &&
            *keep_it < static_cast<std::int32_t>(j)) {
@@ -53,8 +57,7 @@ SparsifyResult SparsifyDenseRow(const double* row, std::size_t num_cols,
       kept_by_index = true;
     }
     if (!kept_by_index) {
-      if (IsPositiveZero(v)) continue;  // lossless drop
-      if (std::abs(v) < epsilon) {      // lossy drop, bounded by epsilon
+      if (std::abs(v) < epsilon) {  // lossy drop, bounded by epsilon
         ++result.dropped;
         result.max_dropped_abs = std::max(result.max_dropped_abs, std::abs(v));
         continue;

@@ -5,14 +5,14 @@
 // ids with parallel values (index+value compressed layout).
 //
 // Sparsification contract (see docs/score_store.md):
-//   - An entry v is RETAINED when its column is in `keep_cols` (the row's
-//     top-k index columns, so index serving never degrades), or when
-//     |v| >= epsilon and v is not an exact +0.0.
-//   - An exact +0.0 is always dropped: gathering a sparse row fills absent
-//     columns with +0.0, so dropping it is bitwise lossless. This is what
-//     makes epsilon = 0 a pure compression setting — the gathered row is
-//     bitwise identical to the dense original. A -0.0 is kept at
-//     epsilon = 0 for the same reason.
+//   - An exact +0.0 is always dropped, protected column or not:
+//     gathering a sparse row fills absent columns with +0.0, so dropping
+//     it is bitwise lossless. This is what makes epsilon = 0 a pure
+//     compression setting — the gathered row is bitwise identical to the
+//     dense original. A -0.0 is kept at epsilon = 0 for the same reason.
+//   - Any other entry v is RETAINED when its column is in `keep_cols` (the
+//     row's top-k index columns, so index serving never degrades), or
+//     when |v| >= epsilon.
 //   - Every other dropped entry has |v| < epsilon; `dropped` counts them
 //     and `max_dropped_abs` records the largest magnitude lost, which is
 //     what the store folds into its cumulative error bound.
@@ -82,6 +82,29 @@ inline const double* ReadRowFromBlock(const RowBlock& block,
   return scratch->data();
 }
 
+/// Read-only access to one row's STORED representation, without a
+/// gather: a dense row is `dense` (num_cols contiguous values); a sparse
+/// row is `cols`/`vals` (strictly increasing column ids with parallel
+/// values; absent columns read as exact +0.0) and `dense` is null. Valid
+/// while the block it points into is alive — for a published View, the
+/// View's lifetime.
+struct RawRow {
+  const double* dense = nullptr;
+  std::span<const std::int32_t> cols;
+  std::span<const double> vals;
+
+  bool is_sparse() const { return dense == nullptr; }
+};
+
+/// The RawRow of row `local_row` of `block`. O(1), never copies.
+inline RawRow RawRowFromBlock(const RowBlock& block, std::size_t local_row,
+                              std::size_t num_cols) {
+  if (!block.is_sparse()) {
+    return {&block.dense[local_row * num_cols], {}, {}};
+  }
+  return {nullptr, block.sparse_cols, block.sparse_vals};
+}
+
 /// Result of sparsifying one dense row.
 struct SparsifyResult {
   /// The sparse block, or null when the row failed the density gate (its
@@ -97,8 +120,9 @@ struct SparsifyResult {
 
 /// Sparsifies one dense row of `num_cols` entries under the retention
 /// contract above. `keep_cols` (any order, duplicates fine) are retained
-/// unconditionally. Bails out with a null block as soon as the retained
-/// count exceeds max_density · num_cols.
+/// unless they hold an exact +0.0 (elided losslessly). Bails out with a
+/// null block as soon as the retained count exceeds max_density ·
+/// num_cols.
 SparsifyResult SparsifyDenseRow(const double* row, std::size_t num_cols,
                                 double epsilon, double max_density,
                                 std::span<const std::int32_t> keep_cols);

@@ -175,6 +175,14 @@ class ScoreStore {
                               cols_, scratch);
     }
 
+    /// Row i's stored representation, no gather (see la::RawRow): ranking
+    /// kernels read a sparse row's O(nnz) entries instead of O(n).
+    RawRow ReadRawRow(std::size_t i) const {
+      INCSR_DCHECK(i < rows_, "view row %zu out of %zu", i, rows_);
+      return RawRowFromBlock(*shards_[i >> shard_shift_], i & shard_mask_,
+                             cols_);
+    }
+
     /// Materializes the viewed matrix (bitwise-exact copy).
     DenseMatrix ToDense() const;
 
@@ -233,6 +241,13 @@ class ScoreStore {
     INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
     return ReadRowFromBlock(*shards_[i >> shard_shift_], i & shard_mask_,
                             cols_, scratch);
+  }
+
+  /// Row i's stored representation, no gather (see View::ReadRawRow).
+  RawRow ReadRawRow(std::size_t i) const {
+    INCSR_DCHECK(i < rows_, "row %zu out of %zu", i, rows_);
+    return RawRowFromBlock(*shards_[i >> shard_shift_], i & shard_mask_,
+                           cols_);
   }
 
   /// Opens a write session for row i on *w (see la::RowWriter): a dense

@@ -40,8 +40,9 @@ namespace incsr::net::wire {
 /// Protocol version carried in every frame; peers reject mismatches.
 /// Versions 2–5 grew the StatsResponse body one appended tail at a time;
 /// v6 derives it from service::ForEachServiceMetric, so adding, removing
-/// or reordering a listed metric changes the layout and must bump this.
-inline constexpr std::uint8_t kWireVersion = 6;
+/// or reordering a listed metric changes the layout and must bump this
+/// (v7 added topk_index_bytes).
+inline constexpr std::uint8_t kWireVersion = 7;
 /// Bytes of the length prefix.
 inline constexpr std::size_t kFramePrefixBytes = 4;
 /// Maximum frame payload (version + tag + body) a peer may announce.

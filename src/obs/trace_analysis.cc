@@ -138,8 +138,11 @@ Result<TraceFile> ReadTraceFile(const std::string& path) {
           block.Remaining() != count * kSerializedEventBytes) {
         return Status::InvalidArgument("malformed trace event block");
       }
+      // No reserve(size + count) here: a thread's events arrive in many
+      // small blocks, and an exact-fit reserve per block defeats the
+      // vector's geometric growth — every block would re-copy the whole
+      // vector, quadratic in the trace length.
       std::vector<TraceEvent>& events = out.threads[thread_id];
-      events.reserve(events.size() + count);
       for (std::uint32_t i = 0; i < count; ++i) {
         TraceEvent event;
         if (!DecodeEvent(&block, &event)) {

@@ -99,7 +99,8 @@ SimRankService::SimRankService(core::DynamicSimRank index,
       replica_(replica),
       index_(std::move(index)),
       cache_(options.cache_capacity),
-      topk_index_(options.topk_index_capacity),
+      topk_index_(options.topk_index_capacity,
+                  Scheduler::ResolveNumThreads(index_.options().num_threads)),
       tiering_(options.sparse.enabled),
       adaptive_topk_(options.adaptive_topk_index &&
                      options.topk_index_capacity > 0) {
@@ -122,8 +123,9 @@ SimRankService::SimRankService(core::DynamicSimRank index,
   // Pointer-table bump, not a matrix copy; marks every row shared so the
   // first batch copy-on-writes exactly the rows it touches.
   initial->scores = index_.mutable_score_store()->Publish();
-  // Initial index build is the one full O(n² log c) pass; every later
-  // epoch re-ranks only the rows its batch touched.
+  // Initial index build is the one full pass (row-parallel, O(nnz + c
+  // log c) per sparse row); every later epoch re-ranks only the rows its
+  // batch touched.
   topk_index_.RebuildAll(index_.scores());
   initial->topk = topk_index_.Publish();
   SwapSnapshot(std::move(initial));
@@ -477,9 +479,12 @@ std::uint64_t SimRankService::Publish() {
     const std::span<const std::int32_t> rows = index_.TouchedScoreRows();
     touched.assign(rows.begin(), rows.end());
     // Rows whose index capacity grew need a re-rank even though their
-    // score bytes did not change (duplicates are harmless downstream;
-    // the spurious cache invalidation is one extra miss).
+    // score bytes did not change. One sorted, duplicate-free list serves
+    // both the re-rank and the cache invalidation below, so a grown row
+    // the batch also wrote is re-ranked and invalidated once.
     touched.insert(touched.end(), rerank_extra.begin(), rerank_extra.end());
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   }
   // O(rows touched): the batch's writes already COW-cloned exactly the
   // affected rows; publishing is a row-pointer-table copy.
@@ -489,8 +494,9 @@ std::uint64_t SimRankService::Publish() {
   }
   if (topk_index_.enabled()) {
     // Incremental maintenance rule: re-rank ONLY the touched rows, each
-    // by one scan of its already-materialized COW'd row. Untouched
-    // entries stay valid — their rows' bytes did not change.
+    // by one selection over its already-materialized COW'd row, spread
+    // over the scheduler. Untouched entries stay valid — their rows'
+    // bytes did not change.
     if (all_touched) {
       topk_index_.RebuildAll(index_.scores());
     } else {
@@ -628,6 +634,7 @@ std::uint64_t SimRankService::SwapSnapshot(
   s.rows_published = accounting.rows_copied;
   s.bytes_published = accounting.bytes_copied;
   s.topk_index_rows_reranked = topk_index_.rows_reranked();
+  s.topk_index_bytes = topk_index_.bytes();
   s.rows_sparse = accounting.rows_sparse;
   s.rows_dense = store.rows() - accounting.rows_sparse;
   s.bytes_saved = store.bytes_saved();

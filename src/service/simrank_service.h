@@ -213,6 +213,9 @@ struct ServiceStats {
   std::uint64_t topk_index_served = 0;
   std::uint64_t topk_index_fallbacks = 0;
   std::uint64_t topk_index_rows_reranked = 0;
+  /// Gauge: resident top-k index payload (TopKIndex::bytes()) — entries
+  /// pad to capacity, so this can dwarf a sparse store's scores.
+  std::uint64_t topk_index_bytes = 0;
   /// TopKPairs misses answered by the k-way merge over the per-node
   /// index (O(n + k log n)) versus misses that fell back to the O(n²)
   /// pair scan because the merge's soundness bound cut it off before k
@@ -295,6 +298,7 @@ constexpr void ForEachServiceMetric(F&& f, S&... stats) {
   f("topk_index_fallbacks", MetricRule::kSum, stats.topk_index_fallbacks...);
   f("topk_index_rows_reranked", MetricRule::kSum,
     stats.topk_index_rows_reranked...);
+  f("topk_index_bytes", MetricRule::kSum, stats.topk_index_bytes...);
   f("topk_pairs_served", MetricRule::kSum, stats.topk_pairs_served...);
   f("topk_pairs_fallbacks", MetricRule::kSum, stats.topk_pairs_fallbacks...);
   f("rows_sparse", MetricRule::kSum, stats.rows_sparse...);

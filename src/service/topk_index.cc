@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <queue>
 
 #include "common/check.h"
+#include "common/scheduler.h"
 #include "obs/trace.h"
 
 namespace incsr::service {
@@ -136,6 +138,7 @@ std::size_t TopKIndex::SetNodeCapacity(std::size_t row, std::size_t capacity) {
     auto truncated = std::make_shared<Entry>();
     truncated->items.assign(entry->items.begin(),
                             entry->items.begin() + clamped);
+    bytes_ -= (entry->items.size() - clamped) * sizeof(core::ScoredPair);
     entries_[row] = std::move(truncated);
   }
   return clamped;
@@ -146,41 +149,67 @@ std::span<const core::ScoredPair> TopKIndex::EntryItems(std::size_t row) const {
   return entries_[row]->items;
 }
 
-std::shared_ptr<const TopKIndex::Entry> TopKIndex::BuildEntry(
-    const la::ScoreStore& scores, std::size_t row) {
-  auto entry = std::make_shared<Entry>();
-  // The single source of ranking truth: the same scan a miss would run,
-  // truncated at capacity instead of k — which is what makes index-served
-  // results bitwise identical to the fallback.
-  entry->items = core::TopKForOf(scores, static_cast<graph::NodeId>(row),
-                                 NodeCapacity(row));
-  ++rows_reranked_;
-  return entry;
+std::uint64_t TopKIndex::EntryBytes(std::size_t row) const {
+  const std::shared_ptr<const Entry>& entry = entries_[row];
+  return entry == nullptr ? 0 : entry->items.size() * sizeof(core::ScoredPair);
+}
+
+void TopKIndex::RebuildDistinct(const la::ScoreStore& scores,
+                                std::span<const std::int32_t> rows) {
+  for (std::int32_t row : rows) {
+    bytes_ -= EntryBytes(static_cast<std::size_t>(row));
+  }
+  // One chunk costs about grain · n element reads; keep it well above the
+  // region's dispatch cost so a small matrix stays serial. More chunks
+  // than threads lets the shared cursor balance dense against sparse rows.
+  const std::size_t grain =
+      std::max<std::size_t>(1, 16384 / std::max<std::size_t>(1, scores.cols()));
+  Scheduler::Global().ParallelForChunks(
+      0, rows.size(),
+      Scheduler::PlanChunks(rows.size(), grain, 8 * num_threads_),
+      num_threads_, [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const auto row = static_cast<std::size_t>(rows[i]);
+          auto entry = std::make_shared<Entry>();
+          // The single source of ranking truth: the same selection a miss
+          // would run, truncated at capacity instead of k — which is what
+          // makes index-served results bitwise identical to the fallback.
+          entry->items = core::TopKForOf(
+              scores, static_cast<graph::NodeId>(row), NodeCapacity(row));
+          entries_[row] = std::move(entry);
+        }
+      });
+  for (std::int32_t row : rows) {
+    bytes_ += EntryBytes(static_cast<std::size_t>(row));
+  }
+  rows_reranked_ += rows.size();
 }
 
 void TopKIndex::RebuildRows(const la::ScoreStore& scores,
                             std::span<const std::int32_t> rows) {
   if (capacity_ == 0) return;
-  TRACE_SCOPE_ARG(kRerank, rows.size());
   INCSR_CHECK(entries_.size() == scores.rows(),
               "TopKIndex geometry mismatch: %zu entries for %zu rows",
               entries_.size(), scores.rows());
-  for (std::int32_t row : rows) {
-    entries_[static_cast<std::size_t>(row)] = BuildEntry(
-        scores, static_cast<std::size_t>(row));
-  }
+  std::vector<std::int32_t> distinct(rows.begin(), rows.end());
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  TRACE_SCOPE_ARG(kRerank, distinct.size());
+  RebuildDistinct(scores, distinct);
 }
 
 void TopKIndex::RebuildAll(const la::ScoreStore& scores) {
   if (capacity_ == 0) return;
   TRACE_SCOPE_ARG(kRerank, scores.rows());
-  entries_.resize(scores.rows());
+  entries_.assign(scores.rows(), nullptr);  // published Views keep theirs
+  bytes_ = 0;
   if (!caps_.empty()) {
     caps_.resize(entries_.size(), static_cast<std::uint32_t>(capacity_));
   }
-  for (std::size_t row = 0; row < entries_.size(); ++row) {
-    entries_[row] = BuildEntry(scores, row);
-  }
+  std::vector<std::int32_t> all(entries_.size());
+  std::iota(all.begin(), all.end(), 0);
+  RebuildDistinct(scores, all);
 }
 
 TopKIndex::View TopKIndex::Publish() const {

@@ -14,9 +14,14 @@
 //   - Maintenance is incremental by the affected-area argument: a batch
 //     can only change row q if the applier wrote it, so at publish time
 //     ONLY the touched rows (la::ScoreStore's COW-clone record) are
-//     re-ranked, each by one O(n log c) scan of the already-materialized
-//     row. Untouched entries stay valid because their rows' bytes did not
-//     change.
+//     re-ranked. Untouched entries stay valid because their rows' bytes
+//     did not change.
+//   - Each re-rank is one core::TopKForRow selection over the row's
+//     stored representation: O(n + c log c) for a dense row, O(nnz +
+//     c log c) for a sparse one (no gather). An entry is a pure function
+//     of its row's bytes and capacity, so the touched rows are re-ranked
+//     row-parallel on the shared Scheduler and the result is bitwise the
+//     same at any thread count.
 //   - A miss with k <= |entry| (or a complete entry, |entry| = n-1) is
 //     served as the entry's first min(k, |entry|) items — bitwise
 //     identical to TopKForOf on the same snapshot, because both are
@@ -95,8 +100,10 @@ class TopKIndex {
 
   /// `capacity` bounds candidates per node; 0 disables the index: Rebuild*
   /// are no-ops, Publish returns an empty view, every miss falls through
-  /// to the row scan.
-  explicit TopKIndex(std::size_t capacity) : capacity_(capacity) {}
+  /// to the row scan. Rebuild* re-rank rows on at most `num_threads`
+  /// threads of Scheduler::Global() (the caller's resolved thread knob).
+  explicit TopKIndex(std::size_t capacity, std::size_t num_threads = 1)
+      : capacity_(capacity), num_threads_(num_threads) {}
 
   bool enabled() const { return capacity_ > 0; }
   /// Base (default per-node) capacity; see NodeCapacity for adapted rows.
@@ -123,17 +130,26 @@ class TopKIndex {
   std::span<const core::ScoredPair> EntryItems(std::size_t row) const;
 
   /// Cumulative entries re-ranked by Rebuild* (the maintenance cost).
+  /// Each distinct row counts once per call; it equals the sum of the
+  /// publish.rerank trace spans' args.
   std::uint64_t rows_reranked() const { return rows_reranked_; }
 
+  /// Resident candidate payload: Σ |items| · sizeof(ScoredPair) over all
+  /// entries. An entry pads to its capacity with zero-score items when
+  /// its row has fewer nonzeros, so this is the index's memory cost.
+  std::uint64_t bytes() const { return bytes_; }
+
   /// Re-ranks the entries of `rows` from the current score rows, one
-  /// O(n log c) contract-ordered scan each. Rows must be in range;
-  /// duplicates are harmless. Writer thread only.
+  /// core::TopKForRow selection each. Rows must be in range, any order;
+  /// duplicates are dropped before the row-parallel region (no two
+  /// workers ever write the same entry) and count once. Writer thread
+  /// only.
   void RebuildRows(const la::ScoreStore& scores,
                    std::span<const std::int32_t> rows);
 
-  /// (Re)builds every entry — initial build and the all-rows-touched path
-  /// (fresh store, geometry change). Adapts to scores.rows(). Writer
-  /// thread only.
+  /// (Re)builds every entry, row-parallel — initial build and the
+  /// all-rows-touched path (fresh store, geometry change). Adapts to
+  /// scores.rows(). Writer thread only.
   void RebuildAll(const la::ScoreStore& scores);
 
   /// Snapshots the entry table for an epoch: O(n) shared_ptr copies, no
@@ -141,11 +157,16 @@ class TopKIndex {
   View Publish() const;
 
  private:
-  std::shared_ptr<const Entry> BuildEntry(const la::ScoreStore& scores,
-                                          std::size_t row);
+  // Rebuilds entries_[rows[i]] for every i, row-parallel; `rows` must be
+  // duplicate-free. Keeps rows_reranked_ and bytes_ current.
+  void RebuildDistinct(const la::ScoreStore& scores,
+                       std::span<const std::int32_t> rows);
+  std::uint64_t EntryBytes(std::size_t row) const;
 
   const std::size_t capacity_;
+  const std::size_t num_threads_;
   std::uint64_t rows_reranked_ = 0;
+  std::uint64_t bytes_ = 0;
   std::vector<std::shared_ptr<const Entry>> entries_;
   // Per-node capacity overrides; empty until the first SetNodeCapacity
   // (the common all-default case pays nothing).

@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <map>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -841,6 +843,194 @@ TEST(TopKIndexUnit, ServePairsBoundedEntriesServeHeadRefusePastBound) {
   TopKIndex disabled(0);
   disabled.RebuildAll(store);
   EXPECT_FALSE(disabled.Publish().ServePairs(1, &out));
+}
+
+// ---- Selection kernel vs the heap oracle ---------------------------------
+
+// The pre-selection TopKForOf, kept here as the reference: a bounded
+// min-heap over the gathered row, O(n log k). The kernel under test must
+// return exactly its items, score bits included.
+std::vector<ScoredPair> HeapTopKFor(const double* row, std::size_t n,
+                                    graph::NodeId query, std::size_t k) {
+  const auto q = static_cast<std::size_t>(query);
+  const auto cmp = &core::ScoredPairRanksBefore;
+  std::vector<ScoredPair> heap;
+  for (std::size_t b = 0; b < n; ++b) {
+    if (b == q) continue;
+    ScoredPair cand{query, static_cast<graph::NodeId>(b), row[b]};
+    if (heap.size() < k) {
+      heap.push_back(cand);
+      std::push_heap(heap.begin(), heap.end(), cmp);
+    } else if (!heap.empty() && cmp(cand, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), cmp);
+      heap.back() = cand;
+      std::push_heap(heap.begin(), heap.end(), cmp);
+    }
+  }
+  std::sort_heap(heap.begin(), heap.end(), cmp);
+  return heap;
+}
+
+template <typename SLike>
+std::vector<ScoredPair> HeapTopKForOf(const SLike& s, graph::NodeId query,
+                                      std::size_t k) {
+  la::Vector scratch;
+  return HeapTopKFor(s.ReadRow(static_cast<std::size_t>(query), &scratch),
+                     s.rows(), query, k);
+}
+
+// Bitwise equality: operator== would let +0.0 and -0.0 pass as equal.
+void ExpectSameBits(const std::vector<ScoredPair>& got,
+                    const std::vector<ScoredPair>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].a, want[i].a) << what << " item " << i;
+    EXPECT_EQ(got[i].b, want[i].b) << what << " item " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].score),
+              std::bit_cast<std::uint64_t>(want[i].score))
+        << what << " item " << i;
+  }
+}
+
+std::vector<std::size_t> OracleKs(std::size_t n) {
+  return {0, 1, 3, n - 2, n - 1, n, n + 3, 4096};
+}
+
+// n×n scores drawn from a small alphabet, so ties, +0.0, -0.0 and
+// negatives are everywhere; every `sparse_every`-th row is demoted to the
+// sparse layout at epsilon = 0 (positives, negatives and -0.0 stored,
+// +0.0 elided). sparse_every = 0 keeps every row dense.
+la::ScoreStore MixedStore(std::size_t n, std::uint64_t seed,
+                          std::size_t sparse_every) {
+  const double kAlphabet[] = {0.5, 0.25, 0.25, 1e-3, 0.0, 0.0,
+                              0.0, -0.0, -1e-3, -0.25};
+  Rng rng(seed);
+  la::DenseMatrix dense(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      dense(i, j) = kAlphabet[rng.NextBounded(std::size(kAlphabet))];
+    }
+  }
+  la::ScoreStore store(std::move(dense));
+  store.set_sparsity({.epsilon = 0.0, .max_density = 1.0});
+  for (std::size_t i = 0; sparse_every > 0 && i < n; i += sparse_every) {
+    INCSR_CHECK(store.SparsifyRow(i, {}), "sparsify row %zu", i);
+  }
+  return store;
+}
+
+TEST(TopKSelection, MatchesHeapOracleBitwiseOnDenseAndSparseRows) {
+  for (std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{12},
+                        std::size_t{67}}) {
+    la::ScoreStore store = MixedStore(n, 41 + n, /*sparse_every=*/2);
+    const la::ScoreStore::View view = store.Publish();
+    for (std::size_t q = 0; q < n; ++q) {
+      for (std::size_t k : OracleKs(n)) {
+        const auto query = static_cast<graph::NodeId>(q);
+        const std::string what = "n=" + std::to_string(n) +
+                                 " q=" + std::to_string(q) +
+                                 " k=" + std::to_string(k) +
+                                 (store.RowIsSparse(q) ? " sparse" : " dense");
+        const std::vector<ScoredPair> want = HeapTopKForOf(store, query, k);
+        ExpectSameBits(core::TopKForOf(store, query, k), want, what);
+        ExpectSameBits(core::TopKForOf(view, query, k), want, what + " view");
+      }
+    }
+  }
+}
+
+TEST(TopKSelection, SparseRowsWithStoredZerosAndDiagonal) {
+  // Hand-built sparse rows the store never produces itself: a stored
+  // +0.0, a stored -0.0, a stored diagonal, only negatives, and an empty
+  // row. Each must rank exactly like its gathered dense twin.
+  const std::size_t n = 9;
+  struct Case {
+    std::vector<std::int32_t> cols;
+    std::vector<double> vals;
+    graph::NodeId query;
+  };
+  const std::vector<Case> cases = {
+      {{0, 2, 3, 5, 8}, {0.0, -0.0, 0.5, 0.5, -0.25}, 3},
+      {{1, 4, 6}, {-0.5, -0.5, -1e-9}, 4},
+      {{}, {}, 0},
+      {{0, 1, 2, 3, 4, 5, 6, 7, 8},
+       {1.0, 0.3, -0.0, 0.3, 0.0, 0.7, -0.1, 0.3, 0.0},
+       8},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const Case& test = cases[c];
+    std::vector<double> dense(n, 0.0);
+    for (std::size_t e = 0; e < test.cols.size(); ++e) {
+      dense[static_cast<std::size_t>(test.cols[e])] = test.vals[e];
+    }
+    const la::RawRow sparse{nullptr, test.cols, test.vals};
+    const la::RawRow flat{dense.data(), {}, {}};
+    for (std::size_t k : OracleKs(n)) {
+      const std::string what =
+          "case " + std::to_string(c) + " k=" + std::to_string(k);
+      const std::vector<ScoredPair> want =
+          HeapTopKFor(dense.data(), n, test.query, k);
+      ExpectSameBits(core::TopKForRow(sparse, n, test.query, k), want,
+                     what + " sparse");
+      ExpectSameBits(core::TopKForRow(flat, n, test.query, k), want,
+                     what + " dense");
+    }
+  }
+}
+
+// Every entry of `index` (built over `store`) equals the heap oracle at
+// the row's capacity, bitwise.
+void ExpectEntriesMatchOracle(const TopKIndex& index,
+                              const la::ScoreStore& store,
+                              const std::string& what) {
+  for (std::size_t q = 0; q < store.rows(); ++q) {
+    const auto items = index.EntryItems(q);
+    ExpectSameBits(std::vector<ScoredPair>(items.begin(), items.end()),
+                   HeapTopKForOf(store, static_cast<graph::NodeId>(q),
+                                 index.NodeCapacity(q)),
+                   what + " row " + std::to_string(q));
+  }
+}
+
+TEST(TopKIndexUnit, RebuildIsBitwiseAtOneAndFourThreads) {
+  // n = 300 puts several rows in each scheduler chunk, so the 4-thread
+  // index really runs row-parallel.
+  const std::size_t n = 300;
+  for (std::size_t capacity : {std::size_t{5}, n - 1, std::size_t{4096}}) {
+    la::ScoreStore store = MixedStore(n, 7, /*sparse_every=*/3);
+    TopKIndex serial(capacity, 1);
+    TopKIndex parallel(capacity, 4);
+    serial.RebuildAll(store);
+    parallel.RebuildAll(store);
+    const std::string what = "capacity " + std::to_string(capacity);
+    ExpectEntriesMatchOracle(serial, store, what + " serial");
+    ExpectEntriesMatchOracle(parallel, store, what + " parallel");
+    EXPECT_EQ(serial.rows_reranked(), n);
+    EXPECT_EQ(parallel.rows_reranked(), n);
+    EXPECT_EQ(parallel.bytes(), serial.bytes());
+    EXPECT_EQ(serial.bytes(),
+              n * std::min(capacity, n - 1) * sizeof(ScoredPair));
+
+    // Rewrite some rows, then re-rank a list with duplicates: each
+    // distinct row is rebuilt (and counted) once, at either thread count.
+    store.Publish();
+    for (std::size_t row : {std::size_t{3}, std::size_t{4}, std::size_t{250}}) {
+      la::RowWriter writer;
+      store.BeginWriteRow(row, &writer);
+      writer.Add(row == 3 ? 10 : 11, 0.75);
+      writer.Add(12, -0.0);
+      store.CommitWriteRow(&writer);
+    }
+    const std::vector<std::int32_t> rows = {250, 3, 4, 3, 250, 250, 9};
+    serial.RebuildRows(store, rows);
+    parallel.RebuildRows(store, rows);
+    EXPECT_EQ(serial.rows_reranked(), n + 4);
+    EXPECT_EQ(parallel.rows_reranked(), n + 4);
+    ExpectEntriesMatchOracle(serial, store, what + " serial rows");
+    ExpectEntriesMatchOracle(parallel, store, what + " parallel rows");
+    EXPECT_EQ(parallel.bytes(), serial.bytes());
+  }
 }
 
 // ---- TopKQueryCache unit tests -------------------------------------------

@@ -19,11 +19,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -121,6 +124,43 @@ TEST(SparseRowBlock, DensityGateRefusesIncompressibleRows) {
   store.set_sparsity({.epsilon = 2.0, .max_density = 1.0});
   EXPECT_TRUE(store.SparsifyRow(2, {}));
   EXPECT_FALSE(store.SparsifyRow(2, {}));
+}
+
+TEST(SparseRowBlock, ProtectedPositiveZerosAreElided) {
+  // Index capacity >= n-1 protects every column of a row. A protected
+  // +0.0 must still be elided (a gather restores it bitwise), or a
+  // mostly-zero row fails the density gate and stays dense forever.
+  const std::size_t n = 100;
+  std::vector<double> row(n, 0.0);
+  row[0] = 0.4;  // diagonal
+  for (std::size_t j = 1; j < 10; ++j) {
+    row[j * 10 + 1] = 0.01 * static_cast<double>(j);
+  }
+  row[50] = -0.0;  // a -0.0 is not elided: its bits differ from a gather's
+  std::vector<std::int32_t> all_off_diagonal;
+  for (std::int32_t j = 1; j < static_cast<std::int32_t>(n); ++j) {
+    all_off_diagonal.push_back(j);
+  }
+  for (std::size_t keep_count : {n - 1, std::size_t{44}}) {
+    const std::span<const std::int32_t> keep(all_off_diagonal.data(),
+                                             keep_count);
+    const la::SparsifyResult result =
+        la::SparsifyDenseRow(row.data(), n, /*epsilon=*/0.0,
+                             /*max_density=*/0.5, keep);
+    ASSERT_NE(result.block, nullptr) << "keep " << keep_count;
+    EXPECT_EQ(result.dropped, 0u);
+    EXPECT_EQ(result.block->sparse_cols.size(), 11u) << "keep " << keep_count;
+    for (double v : result.block->sparse_vals) {
+      EXPECT_FALSE(la::IsPositiveZero(v));
+    }
+    std::vector<double> gathered(n);
+    result.block->GatherInto(n, gathered.data());
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(gathered[j]),
+                std::bit_cast<std::uint64_t>(row[j]))
+          << "col " << j;
+    }
+  }
 }
 
 // Overwrites entry (i, j) through a one-row write session on the flat row:
@@ -257,6 +297,73 @@ TEST(TieredService, EpsilonZeroIsBitwisePerAlgorithm) {
     // The policy actually exercised the sparse layout.
     EXPECT_GT(run.sparse_stats.tier_demotions, 0u);
   }
+}
+
+TEST(TieredService, ColdDenseRowDemotesUnderFullCapacityIndex) {
+  // Default index capacity (4096) >= n: every entry covers its whole row,
+  // so the keep set a demotion protects is every column. Node 0 lives in
+  // a 4-node component, so its row is mostly exact zeros; after reads
+  // promote it and it cools again, it must go back to sparse.
+  const std::size_t n = 16;
+  graph::DynamicDiGraph graph(n);
+  for (auto [src, dst] : {std::pair{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}}) {
+    ASSERT_TRUE(graph.AddEdge(src, dst).ok());
+  }
+  auto rest = graph::ErdosRenyiGnm(n - 4, 30, 11);
+  ASSERT_TRUE(rest.ok());
+  for (const auto& e : rest.value()) {
+    ASSERT_TRUE(graph.AddEdge(e.edge.src + 4, e.edge.dst + 4).ok());
+  }
+  simrank::SimRankOptions sr;
+  sr.damping = 0.6;
+  sr.iterations = 8;
+  auto index = core::DynamicSimRank::Create(graph, sr);
+  ASSERT_TRUE(index.ok());
+  service::ServiceOptions options;
+  options.cache_capacity = 0;  // every read reaches the traffic sketch
+  options.sparse.enabled = true;
+  options.sparse.hot_reads = 1;
+  options.sparse.promote_reads = 2;
+  options.sparse.scan_rows_per_publish = n;  // the sweep sees every row
+  ASSERT_GE(options.topk_index_capacity, n);
+  auto service =
+      service::SimRankService::Create(std::move(index).value(), options);
+  ASSERT_TRUE(service.ok());
+  const auto row_is_sparse = [&] {
+    return (*service)->Snapshot()->scores.RowIsSparse(0);
+  };
+  ASSERT_TRUE(row_is_sparse());  // cold at construction, before the index
+
+  // Inserts inside the 12-node component drive publishes without
+  // touching node 0's component.
+  std::vector<graph::EdgeUpdate> inserts;
+  for (graph::NodeId src = 4; src < 16 && inserts.size() < 4; ++src) {
+    for (graph::NodeId dst = 4; dst < 16 && inserts.size() < 4; ++dst) {
+      if (src != dst && !graph.HasEdge(src, dst)) {
+        inserts.push_back({graph::UpdateKind::kInsert, src, dst});
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(inserts.size(), 4u);
+  const auto publish = [&](std::size_t i) {
+    ASSERT_TRUE((*service)->Submit(inserts[i]).ok());
+    ASSERT_TRUE((*service)->Flush().ok());
+  };
+  ASSERT_TRUE((*service)->TopKFor(0, 3).ok());
+  ASSERT_TRUE((*service)->TopKFor(0, 3).ok());
+  publish(0);  // two reads >= promote_reads: promoted
+  ASSERT_FALSE(row_is_sparse());
+  const std::uint64_t demotions = (*service)->stats().tier_demotions;
+  publish(1);  // one read left after the decay: still hot
+  publish(2);  // reads decayed to zero: cold, demoted under the full keep set
+  publish(3);
+  EXPECT_TRUE(row_is_sparse());
+  EXPECT_GT((*service)->stats().tier_demotions, demotions);
+  auto snapshot = (*service)->Snapshot();
+  std::vector<core::ScoredPair> served;
+  ASSERT_TRUE(snapshot->topk.Serve(0, n, &served));
+  EXPECT_EQ(served, core::TopKForOf(snapshot->scores, 0, n));
 }
 
 TEST(TieredService, EpsilonErrorStaysWithinRecordedBound) {
@@ -496,6 +603,46 @@ TEST(AdaptiveTopK, ServiceGrowsCapacityAfterFallback) {
   EXPECT_EQ((*service)->stats().topk_index_fallbacks, 1u);  // unchanged
   auto snapshot = (*service)->Snapshot();
   EXPECT_EQ(*second, core::TopKForOf(snapshot->scores, query, 8));
+}
+
+TEST(AdaptiveTopK, GrownRowTheBatchWroteIsRerankedOnce) {
+  // The grow list and the batch's touched rows overlap on the queried
+  // node: publish must re-rank (and count) it once, not twice.
+  auto seed = graph::ErdosRenyiGnm(16, 40, 19);
+  ASSERT_TRUE(seed.ok());
+  auto graph = graph::MaterializeGraph(16, seed.value());
+  simrank::SimRankOptions sr;
+  sr.damping = 0.6;
+  sr.iterations = 8;
+  auto index = core::DynamicSimRank::Create(graph, sr);
+  ASSERT_TRUE(index.ok());
+  service::ServiceOptions options;
+  options.topk_index_capacity = 4;
+  options.adaptive_topk_index = true;
+  options.cache_capacity = 0;
+  auto service =
+      service::SimRankService::Create(std::move(index).value(), options);
+  ASSERT_TRUE(service.ok());
+
+  const graph::NodeId query = 3;
+  ASSERT_TRUE((*service)->TopKFor(query, 8).ok());  // fallback: grow queued
+  graph::NodeId src = 0;
+  while (src == query || graph.HasEdge(src, query)) ++src;
+  const service::ServiceStats before = (*service)->stats();
+  // A new in-edge of `query` rewrites row `query` itself.
+  ASSERT_TRUE(
+      (*service)->Submit({graph::UpdateKind::kInsert, src, query}).ok());
+  ASSERT_TRUE((*service)->Flush().ok());
+  const service::ServiceStats after = (*service)->stats();
+  EXPECT_EQ(after.topk_cap_grows, 1u);
+  EXPECT_GT(after.rows_published, before.rows_published);
+  EXPECT_EQ(after.topk_index_rows_reranked - before.topk_index_rows_reranked,
+            after.rows_published - before.rows_published);
+  auto second = (*service)->TopKFor(query, 8);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ((*service)->stats().topk_index_served, 1u);
+  EXPECT_EQ(*second,
+            core::TopKForOf((*service)->Snapshot()->scores, query, 8));
 }
 
 TEST(AdaptiveTopK, GrownCapacitySurvivesTwoBatchSplit) {

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -351,6 +352,80 @@ TEST(TraceFileFormat, TruncationKeepsTheCompletePrefix) {
   std::remove(truncated_path.c_str());
   std::remove(corrupt_path.c_str());
   std::remove(version_path.c_str());
+}
+
+// Little-endian field writers for hand-built trace files.
+void PutLe(std::string* out, std::uint64_t v, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+TEST(TraceFileFormat, ManySmallBlocksRoundTripEveryEvent) {
+  // The drainer writes each thread's events as many small blocks (one per
+  // ~5 ms wakeup). Decoding must append every block's events in file
+  // order, and stay linear in the block count.
+  constexpr std::uint32_t kThreads = 3;
+  constexpr std::size_t kBlocks = 20000;
+  std::string bytes(kTraceMagic, sizeof kTraceMagic);
+  PutLe(&bytes, kTraceVersion, 4);
+  PutLe(&bytes, sizeof(TraceEvent), 4);
+  std::vector<std::vector<TraceEvent>> want(kThreads);
+  Rng rng(5);
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    const auto thread = static_cast<std::uint32_t>(b % kThreads);
+    const auto count = static_cast<std::uint32_t>(1 + rng.NextBounded(3));
+    std::string block(1, static_cast<char>(kTraceBlockEvents));
+    PutLe(&block, thread, 4);
+    PutLe(&block, count, 4);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      TraceEvent event = MakeEvent(
+          static_cast<EventId>(1 + rng.NextBounded(21)), EventKind::kSpan,
+          static_cast<std::uint32_t>(rng.NextBounded(1u << 30)),
+          rng.NextBounded(1ull << 60), rng.NextBounded(1ull << 60));
+      event.reserved = static_cast<std::uint8_t>(b);
+      PutLe(&block, event.id, 2);
+      PutLe(&block, event.kind, 1);
+      PutLe(&block, event.reserved, 1);
+      PutLe(&block, event.arg, 4);
+      PutLe(&block, event.ts_ns, 8);
+      PutLe(&block, event.value, 8);
+      want[thread].push_back(event);
+    }
+    PutLe(&bytes, block.size(), 4);
+    bytes += block;
+  }
+  std::string footer(1, static_cast<char>(kTraceBlockFooter));
+  PutLe(&footer, 1, 8);
+  PutLe(&footer, 2, 8);
+  PutLe(&footer, kThreads, 4);
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    PutLe(&footer, t, 4);
+    PutLe(&footer, want[t].size(), 8);
+    PutLe(&footer, 0, 8);
+  }
+  PutLe(&bytes, footer.size(), 4);
+  bytes += footer;
+
+  const std::string path =
+      testing::TempDir() + "/incsr_trace_test_blocks.trace";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto file = ReadTraceFile(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_TRUE(file->footer_present);
+  ASSERT_EQ(file->threads.size(), kThreads);
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    const std::vector<TraceEvent>& got = file->threads.at(t);
+    ASSERT_EQ(got.size(), want[t].size()) << "thread " << t;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&got[i], &want[t][i], sizeof(TraceEvent)), 0)
+          << "thread " << t << " event " << i;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // ---- Histogram -------------------------------------------------------------
