@@ -16,16 +16,17 @@
 // service and reports the applier-side maintenance cost: index rows
 // re-ranked per epoch (== rows the batch touched, never n).
 //
-// --rebuild adds the index-maintenance ledger: for each n, over a dense
-// store and a sparse one (~2 % of each row stored), it times
-// TopKIndex::RebuildAll (ms) and RebuildRows over n/4 random rows
+// Last comes the index-maintenance ledger: for each n, over a dense store
+// and a sparse one (~2 % of each row stored), it times
+// TopKIndex::RebuildAll (ms) and RebuildRows over n/4 distinct random rows
 // (ns per row) at 1 and 4 threads, and checks that both thread counts
 // build bitwise-identical entries. Results land in the JSON's "rebuild"
 // array.
 //
 // Usage: bench_topk_index [--nodes-list 1000,2000,4000] [--queries Q]
 //          [--topk K] [--index-capacity C] [--edges-per-node D]
-//          [--updates U] [--rebuild] [--json PATH]
+//          [--updates U] [--json PATH]
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -49,7 +50,6 @@ struct Config {
   std::size_t index_capacity = 64;
   std::size_t edges_per_node = 4;
   std::size_t updates = 32;
-  bool rebuild = false;
   std::string json_path;
 };
 
@@ -102,7 +102,7 @@ bool SameEntries(const service::TopKIndex& x, const service::TopKIndex& y,
   return true;
 }
 
-// The --rebuild ledger for one n: RebuildAll and RebuildRows cost over a
+// The maintenance ledger for one n: RebuildAll and RebuildRows cost over a
 // dense and a sparse store, at 1 and 4 threads.
 void RebuildSweep(std::size_t n, std::size_t capacity,
                   bench::JsonObject* root) {
@@ -116,6 +116,8 @@ void RebuildSweep(std::size_t n, std::size_t capacity,
   for (std::int32_t& row : rows) {
     row = static_cast<std::int32_t>(rng.NextBounded(n));
   }
+  std::sort(rows.begin(), rows.end());  // RebuildRows' input contract
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   for (const auto& [name, store] :
        {std::pair<const char*, const la::ScoreStore*>{"dense", &dense},
         {"sparse", &sparse}}) {
@@ -206,8 +208,6 @@ int main(int argc, char** argv) {
       config.edges_per_node = static_cast<std::size_t>(std::atoll(next()));
     } else if (std::strcmp(argv[i], "--updates") == 0) {
       config.updates = static_cast<std::size_t>(std::atoll(next()));
-    } else if (std::strcmp(argv[i], "--rebuild") == 0) {
-      config.rebuild = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       config.json_path = next();
     } else {
@@ -305,17 +305,15 @@ int main(int argc, char** argv) {
         .Set("topk_index_fallbacks", stats.topk_index_fallbacks);
   }
 
-  if (config.rebuild) {
-    std::printf("\nindex maintenance (capacity %zu): RebuildAll, and "
-                "RebuildRows over n/4 random rows\n",
-                config.index_capacity);
-    std::printf("  %8s %8s %8s %16s %20s\n", "n", "store", "threads",
-                "RebuildAll ms", "RebuildRows ns/row");
-    root.Set("cores", static_cast<std::uint64_t>(
-                          std::thread::hardware_concurrency()));
-    for (std::size_t n : config.nodes_list) {
-      RebuildSweep(n, config.index_capacity, &root);
-    }
+  std::printf("\nindex maintenance (capacity %zu): RebuildAll, and "
+              "RebuildRows over n/4 distinct random rows\n",
+              config.index_capacity);
+  std::printf("  %8s %8s %8s %16s %20s\n", "n", "store", "threads",
+              "RebuildAll ms", "RebuildRows ns/row");
+  root.Set("cores", static_cast<std::uint64_t>(
+                        std::thread::hardware_concurrency()));
+  for (std::size_t n : config.nodes_list) {
+    RebuildSweep(n, config.index_capacity, &root);
   }
 
   if (!config.json_path.empty()) {

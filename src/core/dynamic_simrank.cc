@@ -47,6 +47,39 @@ void AppendBest(std::vector<ScoredPair>* cands, std::size_t m,
   out->insert(out->end(), cands->begin(), mid);
 }
 
+// Dense rows with at least this many columns per requested item take the
+// bounded heap instead of selection. A heap of m rejects a non-entrant
+// with one compare and never copies the row, so it wins while m is small
+// against n; selection's O(n) copy and partition win past that. On
+// uniform random rows (n in [256, 8192]) the heap won at n/m >= 25 and
+// lost at n/m <= 16.
+constexpr std::size_t kHeapRowsPerItem = 20;
+
+// Appends the best m off-diagonal items of dense row `query` to *out
+// (empty on entry) in contract order: a bounded heap whose front is the
+// worst kept item.
+void AppendBestByHeap(std::span<const double> row, graph::NodeId query,
+                      std::size_t m, std::vector<ScoredPair>* out) {
+  const auto ranks_before = [](const ScoredPair& x, const ScoredPair& y) {
+    return ScoredPairRanksBefore(x, y);
+  };
+  const auto q = static_cast<std::size_t>(query);
+  for (std::size_t b = 0; b < row.size(); ++b) {
+    if (b == q) continue;
+    const ScoredPair item{query, static_cast<graph::NodeId>(b), row[b]};
+    if (out->size() < m) {
+      out->push_back(item);
+      std::push_heap(out->begin(), out->end(), ranks_before);
+    } else if (ranks_before(item, out->front())) {
+      std::pop_heap(out->begin(), out->end(), ranks_before);
+      out->back() = item;
+      std::push_heap(out->begin(), out->end(), ranks_before);
+    }
+  }
+  // sort_heap leaves ascending order under ranks_before: best first.
+  std::sort_heap(out->begin(), out->end(), ranks_before);
+}
+
 }  // namespace
 
 std::vector<ScoredPair> TopKForRow(const la::RawRow& row, std::size_t n,
@@ -59,6 +92,10 @@ std::vector<ScoredPair> TopKForRow(const la::RawRow& row, std::size_t n,
   std::vector<ScoredPair>& candidates = tls_candidates;
   candidates.clear();
   if (!row.is_sparse()) {
+    if (m * kHeapRowsPerItem <= n) {
+      AppendBestByHeap({row.dense, n}, query, m, &out);
+      return out;
+    }
     for (std::size_t b = 0; b < n; ++b) {
       if (b == q) continue;
       candidates.push_back(

@@ -1,6 +1,7 @@
 #include "service/topk_index.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <queue>
@@ -154,8 +155,18 @@ std::uint64_t TopKIndex::EntryBytes(std::size_t row) const {
   return entry == nullptr ? 0 : entry->items.size() * sizeof(core::ScoredPair);
 }
 
-void TopKIndex::RebuildDistinct(const la::ScoreStore& scores,
-                                std::span<const std::int32_t> rows) {
+void TopKIndex::RebuildRows(const la::ScoreStore& scores,
+                            std::span<const std::int32_t> rows) {
+  if (capacity_ == 0) return;
+  INCSR_CHECK(entries_.size() == scores.rows(),
+              "TopKIndex geometry mismatch: %zu entries for %zu rows",
+              entries_.size(), scores.rows());
+  // Strictly ascending means duplicate-free: no two workers below ever
+  // write the same entry.
+  INCSR_CHECK(std::adjacent_find(rows.begin(), rows.end(),
+                                 std::greater_equal<>()) == rows.end(),
+              "RebuildRows: rows must be sorted and duplicate-free");
+  TRACE_SCOPE_ARG(kRerank, rows.size());
   for (std::int32_t row : rows) {
     bytes_ -= EntryBytes(static_cast<std::size_t>(row));
   }
@@ -185,23 +196,8 @@ void TopKIndex::RebuildDistinct(const la::ScoreStore& scores,
   rows_reranked_ += rows.size();
 }
 
-void TopKIndex::RebuildRows(const la::ScoreStore& scores,
-                            std::span<const std::int32_t> rows) {
-  if (capacity_ == 0) return;
-  INCSR_CHECK(entries_.size() == scores.rows(),
-              "TopKIndex geometry mismatch: %zu entries for %zu rows",
-              entries_.size(), scores.rows());
-  std::vector<std::int32_t> distinct(rows.begin(), rows.end());
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  TRACE_SCOPE_ARG(kRerank, distinct.size());
-  RebuildDistinct(scores, distinct);
-}
-
 void TopKIndex::RebuildAll(const la::ScoreStore& scores) {
   if (capacity_ == 0) return;
-  TRACE_SCOPE_ARG(kRerank, scores.rows());
   entries_.assign(scores.rows(), nullptr);  // published Views keep theirs
   bytes_ = 0;
   if (!caps_.empty()) {
@@ -209,7 +205,7 @@ void TopKIndex::RebuildAll(const la::ScoreStore& scores) {
   }
   std::vector<std::int32_t> all(entries_.size());
   std::iota(all.begin(), all.end(), 0);
-  RebuildDistinct(scores, all);
+  RebuildRows(scores, all);
 }
 
 TopKIndex::View TopKIndex::Publish() const {

@@ -16,12 +16,13 @@
 //     ONLY the touched rows (la::ScoreStore's COW-clone record) are
 //     re-ranked. Untouched entries stay valid because their rows' bytes
 //     did not change.
-//   - Each re-rank is one core::TopKForRow selection over the row's
-//     stored representation: O(n + c log c) for a dense row, O(nnz +
+//   - Each re-rank is one core::TopKForRow call over the row's stored
+//     representation: about O(n + c log c) for a dense row, O(nnz +
 //     c log c) for a sparse one (no gather). An entry is a pure function
-//     of its row's bytes and capacity, so the touched rows are re-ranked
-//     row-parallel on the shared Scheduler and the result is bitwise the
-//     same at any thread count.
+//     of its row's bytes and capacity, so the touched rows — one sorted,
+//     duplicate-free list per publish — are re-ranked row-parallel on
+//     the shared Scheduler and the result is bitwise the same at any
+//     thread count.
 //   - A miss with k <= |entry| (or a complete entry, |entry| = n-1) is
 //     served as the entry's first min(k, |entry|) items — bitwise
 //     identical to TopKForOf on the same snapshot, because both are
@@ -102,7 +103,7 @@ class TopKIndex {
   /// are no-ops, Publish returns an empty view, every miss falls through
   /// to the row scan. Rebuild* re-rank rows on at most `num_threads`
   /// threads of Scheduler::Global() (the caller's resolved thread knob).
-  explicit TopKIndex(std::size_t capacity, std::size_t num_threads = 1)
+  TopKIndex(std::size_t capacity, std::size_t num_threads)
       : capacity_(capacity), num_threads_(num_threads) {}
 
   bool enabled() const { return capacity_ > 0; }
@@ -130,8 +131,7 @@ class TopKIndex {
   std::span<const core::ScoredPair> EntryItems(std::size_t row) const;
 
   /// Cumulative entries re-ranked by Rebuild* (the maintenance cost).
-  /// Each distinct row counts once per call; it equals the sum of the
-  /// publish.rerank trace spans' args.
+  /// It equals the sum of the publish.rerank trace spans' args.
   std::uint64_t rows_reranked() const { return rows_reranked_; }
 
   /// Resident candidate payload: Σ |items| · sizeof(ScoredPair) over all
@@ -140,10 +140,11 @@ class TopKIndex {
   std::uint64_t bytes() const { return bytes_; }
 
   /// Re-ranks the entries of `rows` from the current score rows, one
-  /// core::TopKForRow selection each. Rows must be in range, any order;
-  /// duplicates are dropped before the row-parallel region (no two
-  /// workers ever write the same entry) and count once. Writer thread
-  /// only.
+  /// core::TopKForRow call each, row-parallel. `rows` must be in
+  /// range, sorted and duplicate-free (checked): no two workers may write
+  /// the same entry. The service's publish step builds exactly such a
+  /// list once, for the re-rank and the cache invalidation together.
+  /// Writer thread only.
   void RebuildRows(const la::ScoreStore& scores,
                    std::span<const std::int32_t> rows);
 
@@ -157,10 +158,6 @@ class TopKIndex {
   View Publish() const;
 
  private:
-  // Rebuilds entries_[rows[i]] for every i, row-parallel; `rows` must be
-  // duplicate-free. Keeps rows_reranked_ and bytes_ current.
-  void RebuildDistinct(const la::ScoreStore& scores,
-                       std::span<const std::int32_t> rows);
   std::uint64_t EntryBytes(std::size_t row) const;
 
   const std::size_t capacity_;

@@ -743,7 +743,7 @@ la::ScoreStore StoreFromRows(std::vector<std::vector<double>> rows) {
 
 TEST(TopKIndexUnit, DisabledIndexNeverServes) {
   la::ScoreStore store = StoreFromRows({{1.0, 0.5}, {0.5, 1.0}});
-  TopKIndex index(0);
+  TopKIndex index(0, 1);
   index.RebuildAll(store);
   EXPECT_EQ(index.rows_reranked(), 0u);
   TopKIndex::View view = index.Publish();
@@ -757,7 +757,7 @@ TEST(TopKIndexUnit, CompleteEntryServesAnyKUnderfullRefuses) {
                                         {0.3, 1.0, 0.2, 0.2},
                                         {0.7, 0.2, 1.0, 0.4},
                                         {0.1, 0.2, 0.4, 1.0}});
-  TopKIndex full(8);  // capacity >= n-1: entries complete
+  TopKIndex full(8, 1);  // capacity >= n-1: entries complete
   full.RebuildAll(store);
   TopKIndex::View view = full.Publish();
   std::vector<ScoredPair> out;
@@ -766,7 +766,7 @@ TEST(TopKIndexUnit, CompleteEntryServesAnyKUnderfullRefuses) {
   ASSERT_TRUE(view.Serve(0, 0, &out));
   EXPECT_TRUE(out.empty());
 
-  TopKIndex bounded(2);  // capacity < n-1: k past the entry must refuse
+  TopKIndex bounded(2, 1);  // capacity < n-1: k past the entry must refuse
   bounded.RebuildAll(store);
   TopKIndex::View small = bounded.Publish();
   ASSERT_TRUE(small.Serve(2, 2, &out));
@@ -778,7 +778,7 @@ TEST(TopKIndexUnit, RebuildRowsPatchesOnlyNamedRows) {
   la::ScoreStore store = StoreFromRows({{1.0, 0.3, 0.2},
                                         {0.3, 1.0, 0.6},
                                         {0.2, 0.6, 1.0}});
-  TopKIndex index(4);
+  TopKIndex index(4, 1);
   index.RebuildAll(store);
   store.Publish();  // start COW tracking
   // Rewrite row 1 (and symmetric column entries in rows 0/2 would follow
@@ -809,7 +809,7 @@ TEST(TopKIndexUnit, ServePairsCompleteEntriesMatchPairScanExactly) {
       {0.8 + kJitter, 1.0, 0.5, 0.2},
       {0.3 - kJitter, 0.5 + kJitter, 1.0, 0.4},
       {0.5 - kJitter, 0.2, 0.4 + kJitter, 1.0}});
-  TopKIndex index(8);  // capacity >= n-1: every entry complete
+  TopKIndex index(8, 1);  // capacity >= n-1: every entry complete
   index.RebuildAll(store);
   TopKIndex::View view = index.Publish();
   for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{2},
@@ -831,7 +831,7 @@ TEST(TopKIndexUnit, ServePairsBoundedEntriesServeHeadRefusePastBound) {
       {0.1, 0.7, 1.0, 0.6, 0.1},
       {0.1, 0.1, 0.6, 1.0, 0.1},
       {0.1, 0.1, 0.1, 0.1, 1.0}});
-  TopKIndex index(2);
+  TopKIndex index(2, 1);
   index.RebuildAll(store);
   TopKIndex::View view = index.Publish();
   std::vector<ScoredPair> out;
@@ -840,7 +840,7 @@ TEST(TopKIndexUnit, ServePairsBoundedEntriesServeHeadRefusePastBound) {
   EXPECT_FALSE(view.ServePairs(2, &out));
   EXPECT_TRUE(out.empty());
 
-  TopKIndex disabled(0);
+  TopKIndex disabled(0, 1);
   disabled.RebuildAll(store);
   EXPECT_FALSE(disabled.Publish().ServePairs(1, &out));
 }
@@ -921,8 +921,11 @@ la::ScoreStore MixedStore(std::size_t n, std::uint64_t seed,
 }
 
 TEST(TopKSelection, MatchesHeapOracleBitwiseOnDenseAndSparseRows) {
+  // Dense rows take the bounded heap when n >= 20·k and selection
+  // otherwise: n = 67 and n = 200 put k = 1 and 3 on the heap; every
+  // other (n, k) here is a selection.
   for (std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{12},
-                        std::size_t{67}}) {
+                        std::size_t{67}, std::size_t{200}}) {
     la::ScoreStore store = MixedStore(n, 41 + n, /*sparse_every=*/2);
     const la::ScoreStore::View view = store.Publish();
     for (std::size_t q = 0; q < n; ++q) {
@@ -1012,8 +1015,8 @@ TEST(TopKIndexUnit, RebuildIsBitwiseAtOneAndFourThreads) {
     EXPECT_EQ(serial.bytes(),
               n * std::min(capacity, n - 1) * sizeof(ScoredPair));
 
-    // Rewrite some rows, then re-rank a list with duplicates: each
-    // distinct row is rebuilt (and counted) once, at either thread count.
+    // Rewrite some rows, then re-rank them plus an unwritten one: each
+    // listed row is rebuilt (and counted) once, at either thread count.
     store.Publish();
     for (std::size_t row : {std::size_t{3}, std::size_t{4}, std::size_t{250}}) {
       la::RowWriter writer;
@@ -1022,7 +1025,7 @@ TEST(TopKIndexUnit, RebuildIsBitwiseAtOneAndFourThreads) {
       writer.Add(12, -0.0);
       store.CommitWriteRow(&writer);
     }
-    const std::vector<std::int32_t> rows = {250, 3, 4, 3, 250, 250, 9};
+    const std::vector<std::int32_t> rows = {3, 4, 9, 250};
     serial.RebuildRows(store, rows);
     parallel.RebuildRows(store, rows);
     EXPECT_EQ(serial.rows_reranked(), n + 4);

@@ -540,7 +540,7 @@ TEST(TieredConcurrency, PinnedViewStaysByteStableUnderTierMigration) {
 
 TEST(AdaptiveTopK, NodeCapacityClampsAndTruncates) {
   la::ScoreStore scores(TestMatrix(12, 12, 13));
-  service::TopKIndex index(/*capacity=*/4);
+  service::TopKIndex index(/*capacity=*/4, /*num_threads=*/1);
   index.RebuildAll(scores);
   EXPECT_EQ(index.NodeCapacity(3), 4u);
   EXPECT_EQ(index.EntryItems(3).size(), 4u);
