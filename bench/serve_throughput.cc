@@ -95,7 +95,8 @@ struct LoadConfig {
   double zipf_theta = 0.0;   // 0 = uniform query nodes
   bool delete_heavy = false; // 70/30 delete/insert churn stream
   int threads = 0;           // update-kernel parallelism (0 = default)
-  std::size_t index_capacity = 4096;  // per-node top-k index (0 = off)
+  // Per-node top-k index capacity (0 = off); the library default.
+  std::size_t index_capacity = service::ServiceOptions{}.topk_index_capacity;
   std::size_t components = 1; // disjoint ER blocks in the base graph
   std::size_t shards = 0;     // 0 = single service; K = sharded service
   std::string json_path;     // when set, emit a BENCH json trajectory file

@@ -104,10 +104,12 @@ std::vector<ScoredPair> TopKPairsOf(const SLike& s, std::size_t k) {
 /// entries with it and a miss past an entry falls back to it, so
 /// index-served results are bitwise what a fallback returns. The method
 /// follows k against n:
-///   - dense row, n >= 20·min(k, n-1) (a small query k): a bounded heap
-///     over the row — one compare per item that does not enter, no copy;
-///   - dense row otherwise (an index entry's capacity): nth_element to
-///     min(k, n-1), then sort that prefix — O(n + k log k);
+///   - dense row, n >= 20·min(k, n-1) (a query k, or an index entry's
+///     capacity c once n >= 20·c — 1280 rows at the default c = 64): a
+///     bounded heap over the row — one compare per item that does not
+///     enter, no copy;
+///   - dense row otherwise (k near n): nth_element to min(k, n-1), then
+///     sort that prefix — O(n + k log k);
 ///   - sparse row: no O(n) gather. Stored positives are selected and
 ///     sorted; then comes the zero tier in ascending id (an absent column
 ///     reads as +0.0, a stored ±0.0 keeps its bits — all tie on score);

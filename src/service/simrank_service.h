@@ -119,7 +119,12 @@ struct ServiceOptions {
   /// capacity are O(k) index reads instead of O(n) row scans
   /// (service/topk_index.h). Requests past an incomplete entry fall back
   /// to the row scan, bitwise identically. 0 disables the index.
-  std::size_t topk_index_capacity = 4096;
+  /// An entry is a bounded prefix: complete (the whole ranking) only when
+  /// n ≤ capacity + 1. The default 64 leaves headroom over the k = 10 the
+  /// CLI and benches ask for, while a publish re-ranks each touched row
+  /// with a 64-item heap or selection, not a full sort of its n−1 items,
+  /// and the index holds at most n·64 pairs (see topk_index_bytes).
+  std::size_t topk_index_capacity = 64;
   /// Scheduler affinity group the applier thread binds
   /// (Scheduler::BindCurrentThreadToGroup): the applier's parallel
   /// kernels publish their work tickets starting at the group's home
@@ -213,8 +218,10 @@ struct ServiceStats {
   std::uint64_t topk_index_served = 0;
   std::uint64_t topk_index_fallbacks = 0;
   std::uint64_t topk_index_rows_reranked = 0;
-  /// Gauge: resident top-k index payload (TopKIndex::bytes()) — entries
-  /// pad to capacity, so this can dwarf a sparse store's scores.
+  /// Gauge: resident top-k index payload (TopKIndex::bytes()), at most
+  /// n·c·16 B for capacity c — entries pad to min(c, n−1) items with
+  /// zero-score candidates, so it can still exceed a sparse store's
+  /// scores when c is large.
   std::uint64_t topk_index_bytes = 0;
   /// TopKPairs misses answered by the k-way merge over the per-node
   /// index (O(n + k log n)) versus misses that fell back to the O(n²)

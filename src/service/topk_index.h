@@ -10,19 +10,24 @@
 //   - Per node q the index keeps the exact top-c candidates of row q
 //     (c = capacity, min(c, n-1) entries), ordered by the repo-wide
 //     contract: descending score, ties by ascending node id
-//     (core::ScoredPairRanksBefore).
+//     (core::ScoredPairRanksBefore). An entry is a bounded prefix of the
+//     row's ranking, complete only when n <= c + 1: the serving default
+//     c = 64 (ServiceOptions::topk_index_capacity) covers the k callers
+//     ask for and caps the index at n·64 items.
 //   - Maintenance is incremental by the affected-area argument: a batch
 //     can only change row q if the applier wrote it, so at publish time
 //     ONLY the touched rows (la::ScoreStore's COW-clone record) are
 //     re-ranked. Untouched entries stay valid because their rows' bytes
 //     did not change.
 //   - Each re-rank is one core::TopKForRow call over the row's stored
-//     representation: about O(n + c log c) for a dense row, O(nnz +
-//     c log c) for a sparse one (no gather). An entry is a pure function
-//     of its row's bytes and capacity, so the touched rows — one sorted,
-//     duplicate-free list per publish — are re-ranked row-parallel on
-//     the shared Scheduler and the result is bitwise the same at any
-//     thread count.
+//     representation: a bounded heap of c over a dense row once n >= 20·c
+//     (about O(n) — most items lose one compare against the heap's
+//     worst), selection plus a sort of c items below that (O(n + c log
+//     c)), and O(nnz + c log c) for a sparse row (no gather). An entry is
+//     a pure function of its row's bytes and capacity, so the touched
+//     rows — one sorted, duplicate-free list per publish — are re-ranked
+//     row-parallel on the shared Scheduler and the result is bitwise the
+//     same at any thread count.
 //   - A miss with k <= |entry| (or a complete entry, |entry| = n-1) is
 //     served as the entry's first min(k, |entry|) items — bitwise
 //     identical to TopKForOf on the same snapshot, because both are

@@ -21,6 +21,7 @@
 
 #include "common/rng.h"
 #include "core/dynamic_simrank.h"
+#include "datasets/datasets.h"
 #include "graph/generators.h"
 #include "graph/update_stream.h"
 #include "la/score_store.h"
@@ -472,31 +473,61 @@ TEST(TopKIndexService, UnderfullEntriesFallBackToRowScan) {
   EXPECT_EQ(stats.topk_index_fallbacks, 1u);
 }
 
+// The pair merge serves each case's k from the index, bitwise equal to
+// the pair scan, across churn. Two shapes: complete entries (capacity n,
+// any k), and the default bounded entries at the k callers ask for, on a
+// graph with n > capacity + 1 and the heavy-tailed shape of the serving
+// benchmarks.
 TEST(TopKIndexService, PairMergeStaysExactAcrossChurnAndCounts) {
-  DynamicDiGraph graph = TestGraph(101, 18, 44);
-  const std::size_t n = graph.num_nodes();
-  std::vector<EdgeUpdate> stream = MixedStream(graph, 8, 10, 53);
-  ServiceOptions options;
-  options.cache_capacity = 0;     // every pair query is a miss
-  options.topk_index_capacity = n;  // complete entries: merge always exact
-  auto service = MakeService(graph, options);
-
-  std::uint64_t queries = 0;
-  for (std::size_t next = 0; next <= stream.size(); next += 6) {
-    for (std::size_t i = next; i < std::min(next + 6, stream.size()); ++i) {
-      ASSERT_TRUE(service->Submit(stream[i]).ok());
-    }
-    ASSERT_TRUE(service->Flush().ok());
-    auto snap = service->Snapshot();
-    for (std::size_t k : {std::size_t{1}, std::size_t{7}, n, n * n}) {
-      ASSERT_EQ(service->TopKPairs(k), core::TopKPairsOf(snap->scores, k))
-          << "k=" << k << " after " << next << " updates";
-      ++queries;
-    }
+  struct PairCase {
+    DynamicDiGraph graph;
+    std::vector<EdgeUpdate> stream;
+    std::size_t capacity;
+    std::vector<std::size_t> ks;
+  };
+  std::vector<PairCase> cases;
+  {
+    DynamicDiGraph graph = TestGraph(101, 18, 44);
+    const std::size_t n = graph.num_nodes();
+    std::vector<EdgeUpdate> stream = MixedStream(graph, 8, 10, 53);
+    cases.push_back({std::move(graph), std::move(stream), n, {1, 7, n, n * n}});
   }
-  ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.topk_pairs_served, queries);
-  EXPECT_EQ(stats.topk_pairs_fallbacks, 0u);
+  {
+    auto series = datasets::MakeDataset(
+        datasets::DatasetKind::kDblp, {.scale = 0.01, .num_snapshots = 2});
+    ASSERT_TRUE(series.ok());
+    std::vector<EdgeUpdate> stream = series->DeltaBetween(0, 1);
+    stream.resize(std::min<std::size_t>(stream.size(), 12));
+    const std::size_t capacity = ServiceOptions{}.topk_index_capacity;
+    ASSERT_LT(capacity + 1, series->GraphAt(0).num_nodes());
+    cases.push_back({series->GraphAt(0), std::move(stream), capacity,
+                     {10, 100}});
+  }
+  for (const PairCase& c : cases) {
+    ServiceOptions options;
+    options.cache_capacity = 0;  // every pair query is a miss
+    options.topk_index_capacity = c.capacity;
+    auto service = MakeService(c.graph, options);
+
+    std::uint64_t queries = 0;
+    for (std::size_t next = 0; next <= c.stream.size(); next += 6) {
+      for (std::size_t i = next; i < std::min(next + 6, c.stream.size());
+           ++i) {
+        ASSERT_TRUE(service->Submit(c.stream[i]).ok());
+      }
+      ASSERT_TRUE(service->Flush().ok());
+      auto snap = service->Snapshot();
+      for (std::size_t k : c.ks) {
+        ASSERT_EQ(service->TopKPairs(k), core::TopKPairsOf(snap->scores, k))
+            << "k=" << k << " capacity=" << c.capacity << " after " << next
+            << " updates";
+        ++queries;
+      }
+    }
+    ServiceStats stats = service->stats();
+    EXPECT_EQ(stats.topk_pairs_served, queries) << "capacity=" << c.capacity;
+    EXPECT_EQ(stats.topk_pairs_fallbacks, 0u) << "capacity=" << c.capacity;
+  }
 }
 
 TEST(TopKIndexService, DeepPairQueriesFallBackPastBoundedEntries) {

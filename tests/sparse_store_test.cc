@@ -13,7 +13,9 @@
 //   - Adaptive per-node top-k capacity: clamp/truncate mechanics and the
 //     fallback -> grow -> index-served loop through the service.
 //   - CreateIsolated: the sparse-direct (1-C)I entry point matches the
-//     dense Create on an edgeless graph, before and after inserts.
+//     dense Create on an edgeless graph, before and after inserts, and a
+//     tiered service over it at default options keeps its index bounded
+//     by the capacity.
 //   - Graph COW: snapshots and copies stay byte-stable across mutation.
 #include <gtest/gtest.h>
 
@@ -250,8 +252,10 @@ struct EquivalenceRun {
 
 EquivalenceRun RunEquivalence(const graph::DynamicDiGraph& graph,
                               const std::vector<graph::EdgeUpdate>& stream,
-                              core::UpdateAlgorithm algorithm,
-                              double epsilon) {
+                              core::UpdateAlgorithm algorithm, double epsilon,
+                              std::size_t topk_index_capacity =
+                                  service::ServiceOptions{}
+                                      .topk_index_capacity) {
   simrank::SimRankOptions sr;
   sr.damping = 0.6;
   sr.iterations = 8;
@@ -263,6 +267,7 @@ EquivalenceRun RunEquivalence(const graph::DynamicDiGraph& graph,
     // and hence FP order, so only the sparsity switch may differ.
     service::ServiceOptions options = TieredOptions(epsilon);
     options.sparse.enabled = tiered;
+    options.topk_index_capacity = topk_index_capacity;
     auto service =
         service::SimRankService::Create(std::move(index).value(), options);
     EXPECT_TRUE(service.ok());
@@ -300,7 +305,7 @@ TEST(TieredService, EpsilonZeroIsBitwisePerAlgorithm) {
 }
 
 TEST(TieredService, ColdDenseRowDemotesUnderFullCapacityIndex) {
-  // Default index capacity (4096) >= n: every entry covers its whole row,
+  // Default index capacity (64) >= n: every entry covers its whole row,
   // so the keep set a demotion protects is every column. Node 0 lives in
   // a 4-node component, so its row is mostly exact zeros; after reads
   // promote it and it cools again, it must go back to sparse.
@@ -367,15 +372,22 @@ TEST(TieredService, ColdDenseRowDemotesUnderFullCapacityIndex) {
 }
 
 TEST(TieredService, EpsilonErrorStaysWithinRecordedBound) {
-  // A sparse graph, so rows carry many sub-epsilon scores to drop.
+  // A sparse graph, so rows carry many sub-epsilon scores to drop. The
+  // index capacity sits below n−1, so a demotion's keep set is a bounded
+  // prefix and the batch-touched rows Inc-uSR leaves dense lose entries
+  // too, not only the initial all-cold pass.
   auto seed = graph::ErdosRenyiGnm(40, 60, 9);
   ASSERT_TRUE(seed.ok());
   auto graph = graph::MaterializeGraph(40, seed.value());
   auto stream = InsertStream(graph, 16, 23);
   for (auto algorithm :
        {core::UpdateAlgorithm::kIncSR, core::UpdateAlgorithm::kIncUSR}) {
-    EquivalenceRun run = RunEquivalence(graph, stream, algorithm, 1e-4);
+    EquivalenceRun run = RunEquivalence(graph, stream, algorithm, 1e-3,
+                                        /*topk_index_capacity=*/8);
     EXPECT_GT(run.sparse_stats.rows_sparse, 0u);
+    // The bound below is only a check when something was dropped.
+    EXPECT_GT(run.sparse_stats.sparse_eps_drops, 0u);
+    EXPECT_GT(run.sparse_stats.sparse_max_error_bound, 0.0);
     double max_err = 0.0;
     for (std::size_t i = 0; i < run.dense_s.rows(); ++i) {
       for (std::size_t j = 0; j < run.dense_s.cols(); ++j) {
@@ -724,6 +736,23 @@ TEST(CreateIsolated, MatchesDenseCreateBeforeAndAfterInserts) {
   }
   EXPECT_TRUE(
       la::BitwiseEqual(isolated->scores().ToDense(), dense->scores().ToDense()));
+}
+
+// At default options an index entry holds min(capacity, n−1) items, so
+// the index of an n-node isolated store costs n·min(64, n−1) pairs —
+// not n·(n−1), which would dwarf the O(n) sparse scores it indexes.
+TEST(CreateIsolated, DefaultIndexBytesAreBoundedByCapacity) {
+  const std::size_t n = 2048;
+  auto isolated = core::DynamicSimRank::CreateIsolated(n);
+  ASSERT_TRUE(isolated.ok());
+  service::ServiceOptions options;
+  options.sparse.enabled = true;
+  auto service =
+      service::SimRankService::Create(std::move(isolated).value(), options);
+  ASSERT_TRUE(service.ok());
+  const std::size_t per_row = std::min<std::size_t>(64, n - 1);
+  EXPECT_EQ((*service)->stats().topk_index_bytes,
+            n * per_row * sizeof(core::ScoredPair));
 }
 
 // ---- Graph COW --------------------------------------------------------------

@@ -324,14 +324,21 @@ TEST(TieredWriteEquivalence, WithinRecordedBoundAtEpsilonPerAlgorithm) {
   ASSERT_TRUE(seed.ok());
   auto graph = graph::MaterializeGraph(40, seed.value());
   auto stream = InsertStream(graph, 16, 23);
+  // ε large enough that the initial all-cold pass drops entries, and an
+  // index capacity below n−1 so later demotions keep a bounded prefix.
+  service::ServiceOptions tiered_options = TieredOptions(1e-3);
+  tiered_options.topk_index_capacity = 8;
   for (auto algorithm :
        {core::UpdateAlgorithm::kIncSR, core::UpdateAlgorithm::kIncUSR}) {
     // Exact reference: same unit batches, sparsity off entirely.
-    service::ServiceOptions dense_options = TieredOptions(1e-4);
+    service::ServiceOptions dense_options = tiered_options;
     dense_options.sparse.enabled = false;
     ServiceRun exact = RunService(graph, stream, algorithm, dense_options);
-    ServiceRun run = RunService(graph, stream, algorithm, TieredOptions(1e-4));
+    ServiceRun run = RunService(graph, stream, algorithm, tiered_options);
     EXPECT_GT(run.stats.rows_sparse, 0u);
+    // The bound below is only a check when something was dropped.
+    EXPECT_GT(run.stats.sparse_eps_drops, 0u);
+    EXPECT_GT(run.stats.sparse_max_error_bound, 0.0);
     double max_err = 0.0;
     for (std::size_t i = 0; i < exact.s.rows(); ++i) {
       for (std::size_t j = 0; j < exact.s.cols(); ++j) {
